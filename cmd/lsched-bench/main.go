@@ -43,6 +43,10 @@ func main() {
 	policy := flag.String("policy", "", "evaluate this stored policy version (a number or \"latest\") as the LSched agent instead of training one; requires -store")
 	provOut := flag.String("provenance-out", "", "record evaluation-run scheduling decisions (features, scores, joined outcomes) to this trace file")
 	flag.Parse()
+	if *metricsFormat != "json" && *metricsFormat != "text" {
+		fmt.Fprintf(os.Stderr, "unknown metrics format %q (json or text)\n", *metricsFormat)
+		os.Exit(2)
+	}
 
 	var sc experiments.Scale
 	switch *scale {
@@ -207,7 +211,8 @@ func writeChromeTrace(path string, tr *metrics.Tracer) error {
 	return nil
 }
 
-// printExport dumps the run's metrics and trace in the chosen format.
+// printExport dumps the run's metrics and trace in the chosen format
+// (main has already rejected anything but json and text).
 func printExport(reg *metrics.Registry, tr *metrics.Tracer, format string) error {
 	exp := metrics.NewExport(reg, tr)
 	switch format {
@@ -219,8 +224,6 @@ func printExport(reg *metrics.Registry, tr *metrics.Tracer, format string) error
 		fmt.Println(string(data))
 	case "text":
 		fmt.Print(exp.Text())
-	default:
-		return fmt.Errorf("unknown metrics format %q (json or text)", format)
 	}
 	return nil
 }

@@ -47,7 +47,6 @@ func main() {
 	controller := flag.String("controller", "learned", "admission controller: learned or heuristic")
 	slots := flag.Int("slots", 16, "max concurrently executing queries across the cluster")
 	shards := flag.Int("shards", 0, "admission shards, rounded up to a power of two (0 = GOMAXPROCS)")
-	singleLoop := flag.Bool("single-loop", false, "use the legacy single drain-loop admission core (A/B baseline)")
 	queueCap := flag.Int("queue-cap", 256, "per-tenant per-class admission queue bound")
 	rate := flag.Float64("rate", 0, "per-tenant rate limit in queries/sec (0 disables)")
 	burst := flag.Float64("burst", 0, "rate-limit burst (defaults to rate)")
@@ -132,7 +131,6 @@ func main() {
 		Controller:  ctrl,
 		MaxInFlight: *slots,
 		Shards:      *shards,
-		SingleLoop:  *singleLoop,
 		QueueCap:    *queueCap,
 		Rate:        *rate,
 		Burst:       *burst,

@@ -65,6 +65,9 @@ func main() {
 	listen := flag.String("listen", "", "serve live observability endpoints (/metrics, /metrics.json, /trace, /queries, /timeseries, /debug/pprof/) on this address during the run, e.g. :9090")
 	traceOut := flag.String("trace-out", "", "write the run's trace as Chrome trace-event JSON to this file at exit (load in Perfetto / chrome://tracing)")
 	flag.Parse()
+	if *metricsFormat != "json" && *metricsFormat != "text" {
+		log.Fatalf("unknown metrics format %q (json or text)", *metricsFormat)
+	}
 
 	pool, err := core.NewPool(core.Benchmark(*bench), *seed)
 	if err != nil {
@@ -157,8 +160,6 @@ func main() {
 			fmt.Printf("\n%s\n", data)
 		case "text":
 			fmt.Printf("\n%s", exp.Text())
-		default:
-			log.Fatalf("unknown metrics format %q (json or text)", *metricsFormat)
 		}
 	}
 }

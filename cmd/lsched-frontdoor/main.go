@@ -58,7 +58,6 @@ func main() {
 	controller := flag.String("controller", "learned", "admission controller: learned or heuristic")
 	slots := flag.Int("slots", 8, "max concurrently executing queries")
 	shards := flag.Int("shards", 0, "admission shards, rounded up to a power of two (0 = GOMAXPROCS)")
-	singleLoop := flag.Bool("single-loop", false, "use the legacy single drain-loop core instead of sharding (A/B baseline)")
 	queueCap := flag.Int("queue-cap", 256, "per-tenant per-class queue bound")
 	rate := flag.Float64("rate", 0, "per-tenant rate limit in queries/sec (0 disables)")
 	burst := flag.Float64("burst", 0, "rate-limit burst (defaults to rate)")
@@ -133,7 +132,6 @@ func main() {
 		Controller:  ctrl,
 		MaxInFlight: *slots,
 		Shards:      *shards,
-		SingleLoop:  *singleLoop,
 		QueueCap:    *queueCap,
 		Rate:        *rate,
 		Burst:       *burst,
@@ -176,13 +174,10 @@ func main() {
 	mux := http.NewServeMux()
 	mux.Handle("/query", fd.Handler())
 	srv := &http.Server{Addr: *listen, Handler: mux}
-	core := "single-loop"
-	if st, ok := fd.Status().(frontdoor.StatusData); ok && len(st.Shards) > 0 {
-		core = fmt.Sprintf("%d shards", len(st.Shards))
-	}
+	nShards := len(fd.Status().(frontdoor.StatusData).Shards)
 	go func() {
-		log.Printf("front door on %s (%d plans from %s sf=%g, %s scheduler, %s admission, %d slots, %s)",
-			*listen, len(plans), *bench, *sf, sched.Name(), ctrl.Name(), *slots, core)
+		log.Printf("front door on %s (%d plans from %s sf=%g, %s scheduler, %s admission, %d slots, %d shards)",
+			*listen, len(plans), *bench, *sf, sched.Name(), ctrl.Name(), *slots, nShards)
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			log.Fatal(err)
 		}

@@ -69,22 +69,20 @@ func main() {
 	slots := flag.Int("slots", 4, "front door executor slots (-ab mode)")
 	threads := flag.Int("threads", 4, "live engine worker threads (-ab mode)")
 	shards := flag.Int("shards", 0, "admission shards for in-process front doors (0 = GOMAXPROCS)")
-	singleLoop := flag.Bool("single-loop", false, "use the legacy single drain-loop admission core in-process")
 	seed := flag.Int64("seed", 1, "trace seed")
 	flag.Parse()
 
 	plans := benchPlans(*bench, *sf)
-	core := coreOptions{shards: *shards, singleLoop: *singleLoop}
 	if *sweep {
 		loads, err := parseLoads(*sweepLoads)
 		if err != nil {
 			log.Fatal(err)
 		}
-		runSweep(plans, *n, loads, *tenants, *latencyFrac, *deadline, *slots, *threads, *seed, core)
+		runSweep(plans, *n, loads, *tenants, *latencyFrac, *deadline, *slots, *threads, *seed, *shards)
 		return
 	}
 	if *ab {
-		runAB(plans, *n, *overload, *tenants, *latencyFrac, *deadline, *slots, *threads, *seed, core)
+		runAB(plans, *n, *overload, *tenants, *latencyFrac, *deadline, *slots, *threads, *seed, *shards)
 		return
 	}
 	urls := []string{*target}
@@ -113,13 +111,6 @@ func benchPlans(bench string, sf float64) []*plan.Plan {
 	}
 	log.Fatalf("unknown benchmark %q", bench)
 	return nil
-}
-
-// coreOptions carries the admission-core knobs shared by every
-// in-process front door the loadgen builds.
-type coreOptions struct {
-	shards     int
-	singleLoop bool
 }
 
 func parseLoads(s string) ([]float64, error) {
@@ -280,7 +271,7 @@ func (t *tally) curvePoint() (p99 time.Duration, dropPct float64) {
 
 // liveArm builds one complete A/B arm: a fresh catalog-backed live
 // engine plus a front door under the given controller.
-func liveArm(plans []*plan.Plan, ctrl frontdoor.Controller, slots, threads int, seed int64, core coreOptions) *frontdoor.FrontDoor {
+func liveArm(plans []*plan.Plan, ctrl frontdoor.Controller, slots, threads int, seed int64, shards int) *frontdoor.FrontDoor {
 	catalog, err := workload.SyntheticCatalog(plans, 2048, 8, seed)
 	if err != nil {
 		log.Fatal(err)
@@ -290,8 +281,7 @@ func liveArm(plans []*plan.Plan, ctrl frontdoor.Controller, slots, threads int, 
 		Backend:     frontdoor.NewEngineBackend(live, heuristics.Fair{}),
 		Controller:  ctrl,
 		MaxInFlight: slots,
-		Shards:      core.shards,
-		SingleLoop:  core.singleLoop,
+		Shards:      shards,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -385,7 +375,7 @@ func abArms(seed int64) []struct {
 	}
 }
 
-func runAB(plans []*plan.Plan, n int, overload float64, tenants int, latencyFrac float64, deadline time.Duration, slots, threads int, seed int64, core coreOptions) {
+func runAB(plans []*plan.Plan, n int, overload float64, tenants int, latencyFrac float64, deadline time.Duration, slots, threads int, seed int64, shards int) {
 	trace := genTrace(plans, n, tenants, latencyFrac, deadline, seed)
 	service := estimateService(plans, trace, threads, seed)
 	sustainable := float64(slots) / service.Seconds()
@@ -394,7 +384,7 @@ func runAB(plans []*plan.Plan, n int, overload float64, tenants int, latencyFrac
 		service.Round(time.Microsecond), sustainable, overload, n, tenants, 100*latencyFrac, deadline)
 
 	for _, arm := range abArms(seed) {
-		fd := liveArm(plans, arm.ctrl, slots, threads, seed, core)
+		fd := liveArm(plans, arm.ctrl, slots, threads, seed, shards)
 		playTrace(fd, plans, trace, interval).report(arm.name)
 	}
 }
@@ -403,7 +393,7 @@ func runAB(plans []*plan.Plan, n int, overload float64, tenants int, latencyFrac
 // for each controller and prints the overload curve: latency-class p99
 // and drop rate versus offered load. Each (arm, load) cell gets a fresh
 // front door and a fresh controller so steps are independent.
-func runSweep(plans []*plan.Plan, n int, loads []float64, tenants int, latencyFrac float64, deadline time.Duration, slots, threads int, seed int64, core coreOptions) {
+func runSweep(plans []*plan.Plan, n int, loads []float64, tenants int, latencyFrac float64, deadline time.Duration, slots, threads int, seed int64, shards int) {
 	trace := genTrace(plans, n, tenants, latencyFrac, deadline, seed)
 	service := estimateService(plans, trace, threads, seed)
 	sustainable := float64(slots) / service.Seconds()
@@ -419,7 +409,7 @@ func runSweep(plans []*plan.Plan, n int, loads []float64, tenants int, latencyFr
 	for _, x := range loads {
 		interval := time.Duration(float64(time.Second) / (sustainable * x))
 		for _, arm := range abArms(seed) {
-			fd := liveArm(plans, arm.ctrl, slots, threads, seed, core)
+			fd := liveArm(plans, arm.ctrl, slots, threads, seed, shards)
 			tl := playTrace(fd, plans, trace, interval)
 			tl.report(fmt.Sprintf("%s x%.1f", arm.name, x))
 			p99, drop := tl.curvePoint()

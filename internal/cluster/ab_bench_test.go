@@ -87,9 +87,9 @@ func routingRun(b *testing.B, policy Policy) []time.Duration {
 // BenchmarkClusterRouting replays the same seeded skewed trace (1 in 8
 // queries carries 25x the work, concentrated on two tenants) against
 // the round-robin baseline and the load-aware least-loaded policy,
-// reporting the p99 latency of the *light* queries (p99-ns). Routing
-// by predicted O-DUR must keep light queries away from nodes chewing
-// heavy ones — that pair is the recorded A/B in BENCH_hotpath.json.
+// reporting the p99 latency of the *light* queries (p99-ns): routing
+// by predicted O-DUR is meant to keep light queries away from nodes
+// chewing heavy ones.
 func BenchmarkClusterRouting(b *testing.B) {
 	arms := []struct {
 		name   string

@@ -28,11 +28,9 @@ import (
 // and a radix sort on the key-extracted path. A Select whose sole
 // consumer is a blocking operator fuses its projection into that
 // consumer's input column, and large work orders split into row-range
-// morsels that soak up idle worker threads (see live_morsel.go). The
-// pre-vectorization scalar per-row path is retained behind
-// LiveConfig.ScalarKernels for honest A/B benchmarking and the
-// scalar/vector differential tests (mirroring the agent's
-// DisableFastPath switch).
+// morsels that soak up idle worker threads (see live_morsel.go). A
+// scalar per-row path is the reference semantics the differential
+// tests hold the kernels to; only tests can select it (Live.scalar).
 //
 // The engine executes one workload per Run call. Queries arrive on the
 // wall clock according to their Arrival offsets (scaled by TimeScale).
@@ -44,6 +42,10 @@ import (
 type Live struct {
 	cfg     LiveConfig
 	catalog *storage.Catalog
+	// scalar runs work orders on the per-row reference path (map-based
+	// hash state, per-block allocation) instead of the exec kernels.
+	// Set only by the differential tests.
+	scalar bool
 	// pool recycles materialized output blocks across work orders and
 	// across runs.
 	pool *exec.BlockPool
@@ -86,11 +88,6 @@ type LiveConfig struct {
 	// TimeScale multiplies arrival offsets to convert workload time
 	// units into wall-clock seconds (e.g. 0.01 compresses a long trace).
 	TimeScale float64
-	// ScalarKernels selects the retained scalar per-row execution path
-	// (map-based hash state, per-block allocation) instead of the
-	// vectorized kernels — the pre-optimization baseline kept in-tree
-	// for A/B benchmarks and differential tests.
-	ScalarKernels bool
 	// Morsels bounds how many row-range morsels one large work order
 	// may split into to recruit idle workers: 0 resolves to
 	// min(4, Threads, GOMAXPROCS), 1 disables splitting, larger values
@@ -216,7 +213,7 @@ func (lv *Live) Run(sched Scheduler, arrivals []Arrival) (*LiveResult, error) {
 	// This keeps scheduling semantics identical across engines.
 	ls := &liveRun{
 		live:    lv,
-		scalar:  lv.cfg.ScalarKernels,
+		scalar:  lv.scalar,
 		pool:    lv.pool,
 		scratch: &lv.scratch,
 		morsels: lv.morsels,
@@ -317,7 +314,8 @@ func (lv *Live) RunOne(sched Scheduler, p *plan.Plan) (*LiveResult, error) {
 // (liveOpState), or an atomic metrics instrument.
 type liveRun struct {
 	live *Live
-	// scalar selects the retained per-row path over the exec kernels.
+	// scalar selects the per-row reference path over the exec kernels
+	// (see Live.scalar).
 	scalar bool
 	// pool recycles materialized output blocks across work orders; nil
 	// (in bare test constructions) degrades to plain allocation.
@@ -676,13 +674,13 @@ func (lr *liveRun) runSelect(q *QueryState, op *plan.Operator, st *liveOpState, 
 	return lr.runSelectVector(q, op, pred, col, st, in)
 }
 
-// runSelectScalar is the retained per-row path: loop-invariant work is
+// runSelectScalar is the per-row reference path: loop-invariant work is
 // hoisted (the row count is read once, the predicate kind, column
 // vector, and — for coded strings — the dictionary are dispatched once
-// per block instead of per row through evalPred), but every work order
-// still allocates its kept-row list and a fresh materialized block, and
-// string predicates over coded columns still decode and compare the
-// string per row, which is the honest pre-dictionary cost.
+// per block instead of per row through evalPred), every work order
+// allocates its kept-row list and a fresh materialized block, and
+// string predicates over coded columns decode and compare the string
+// per row, so the reference never depends on dictionary codes.
 func (lr *liveRun) runSelectScalar(pred plan.Predicate, col int, st *liveOpState, in *storage.Block) int {
 	n := in.NumRows()
 	kept := make([]int, 0, n)
@@ -828,9 +826,8 @@ func (lr *liveRun) runBuild(op *plan.Operator, st *liveOpState, in *storage.Bloc
 				st.hash[k]++
 			}
 		} else {
-			// Honest scalar string build: the pre-dictionary engine keyed
-			// its map by the strings, so decode each row and pay the
-			// string hashing cost per insert.
+			// Scalar string build: the map is keyed by the decoded
+			// strings, so the reference never depends on dictionary codes.
 			if st.hashStr == nil {
 				st.hashStr = make(map[string]int, len(keys))
 			}
@@ -915,10 +912,9 @@ func (lr *liveRun) runProbeScalar(build, st *liveOpState, in *storage.Block, col
 				}
 			}
 		} else if build.hashStr != nil {
-			// Honest scalar string join: the code vector and dictionary
-			// are hoisted out of the loop, but each row still decodes its
-			// key and does a string-keyed map lookup — the per-row cost a
-			// string join pays without dictionary codes.
+			// Scalar string join: the code vector and dictionary are
+			// hoisted out of the loop, and each row decodes its key and
+			// does a string-keyed map lookup.
 			for i, c := range keys {
 				if build.hashStr[dict.Value(c)] > 0 {
 					matched = append(matched, i)
@@ -1046,11 +1042,10 @@ func (lr *liveRun) runSortScalar(st *liveOpState, in *storage.Block, keys []int6
 			return order[a] < order[b]
 		})
 	} else {
-		// Honest scalar string sort: the code vector and dictionary are
-		// hoisted out of the comparator, but each comparison still
-		// decodes and compares the strings — the pre-dictionary cost.
-		// The dictionary is sorted, so this agrees with code order and
-		// the differential tests can compare exact output order.
+		// Scalar string sort: the code vector and dictionary are hoisted
+		// out of the comparator, and each comparison decodes and compares
+		// the strings. The dictionary is sorted, so this agrees with code
+		// order and the differential tests can compare exact output order.
 		sort.Slice(order, func(a, b int) bool {
 			sa, sb := dict.Value(keys[order[a]]), dict.Value(keys[order[b]])
 			if sa != sb {

@@ -8,11 +8,11 @@ import (
 	"repro/internal/storage"
 )
 
-// Per-kernel A/B benchmarks: the same work order driven through the
-// retained scalar path and the vectorized exec kernels. Each iteration
-// processes one ~4k-row block; pooled outputs are recycled between
-// iterations so the vector numbers reflect steady-state execution, the
-// regime the live engine reaches once the pool is warm.
+// Per-kernel benchmarks: one work order driven through the vectorized
+// exec kernels. Each iteration processes one ~4k-row block; pooled
+// outputs are recycled between iterations so the numbers reflect
+// steady-state execution, the regime the live engine reaches once the
+// pool is warm.
 
 const benchRows = 4096
 
@@ -32,16 +32,15 @@ func benchBlock(b *testing.B) *storage.Block {
 	return rel.Blocks[0]
 }
 
-func benchRun(scalar bool) *liveRun {
+func benchRun() *liveRun {
 	return &liveRun{
-		scalar: scalar,
 		pool:   exec.NewBlockPool(),
 		states: make(map[int][]*liveOpState),
 	}
 }
 
 // benchDrain recycles an op state's outputs between iterations: pooled
-// blocks go back to the pool (vector path), scalar outputs are dropped.
+// blocks go back to the pool.
 func benchDrain(lr *liveRun, st *liveOpState) {
 	st.mu.Lock()
 	pooled := st.pooled
@@ -53,274 +52,243 @@ func benchDrain(lr *liveRun, st *liveOpState) {
 	}
 }
 
-func benchModes(b *testing.B, fn func(b *testing.B, scalar bool)) {
-	b.Helper()
-	b.Run("scalar", func(b *testing.B) { fn(b, true) })
-	b.Run("vector", func(b *testing.B) { fn(b, false) })
-}
-
 func BenchmarkLiveKernels(b *testing.B) {
 	b.Run("select", func(b *testing.B) {
-		benchModes(b, func(b *testing.B, scalar bool) {
-			in := benchBlock(b)
-			// ~50% selectivity over the 128-key space.
-			op := &plan.Operator{Type: plan.Select, Columns: []string{"key"},
-				Pred: plan.Predicate{Kind: plan.PredIntLess, Column: "key", Operand: 64}}
-			lr := benchRun(scalar)
-			st := &liveOpState{}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lr.runSelect(nil, op, st, in)
-				benchDrain(lr, st)
-			}
-		})
+		in := benchBlock(b)
+		// ~50% selectivity over the 128-key space.
+		op := &plan.Operator{Type: plan.Select, Columns: []string{"key"},
+			Pred: plan.Predicate{Kind: plan.PredIntLess, Column: "key", Operand: 64}}
+		lr := benchRun()
+		st := &liveOpState{}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lr.runSelect(nil, op, st, in)
+			benchDrain(lr, st)
+		}
 	})
 
 	b.Run("build", func(b *testing.B) {
-		benchModes(b, func(b *testing.B, scalar bool) {
-			in := benchBlock(b)
-			op := &plan.Operator{Type: plan.BuildHash, Columns: []string{"key"}}
-			lr := benchRun(scalar)
-			st := &liveOpState{}
-			lr.runBuild(op, st, in) // warm: table reaches steady size
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lr.runBuild(op, st, in)
-			}
-		})
+		in := benchBlock(b)
+		op := &plan.Operator{Type: plan.BuildHash, Columns: []string{"key"}}
+		lr := benchRun()
+		st := &liveOpState{}
+		lr.runBuild(op, st, in) // warm: table reaches steady size
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lr.runBuild(op, st, in)
+		}
 	})
 
 	b.Run("probe", func(b *testing.B) {
-		benchModes(b, func(b *testing.B, scalar bool) {
-			in := benchBlock(b)
-			bp := plan.NewBuilder("bench-join")
-			scan := bp.Add(&plan.Operator{Type: plan.TableScan, InputRelations: []string{"bench"}})
-			buildOp := bp.Add(&plan.Operator{Type: plan.BuildHash, Columns: []string{"key"}})
-			bp.ConnectAuto(scan, buildOp)
-			probeOp := bp.Add(&plan.Operator{Type: plan.ProbeHash, Columns: []string{"key"}})
-			bp.Connect(buildOp, probeOp, false)
-			p := bp.MustBuild()
-			lr := benchRun(scalar)
-			sts := make([]*liveOpState, len(p.Ops))
-			for i := range sts {
-				sts[i] = &liveOpState{}
-			}
-			lr.states[0] = sts
-			q := newQueryState(0, p, 0)
-			lr.runBuild(p.Ops[buildOp.ID], sts[buildOp.ID], in)
-			st := sts[probeOp.ID]
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lr.runProbe(q, p.Ops[probeOp.ID], st, in)
-				benchDrain(lr, st)
-			}
-		})
+		in := benchBlock(b)
+		bp := plan.NewBuilder("bench-join")
+		scan := bp.Add(&plan.Operator{Type: plan.TableScan, InputRelations: []string{"bench"}})
+		buildOp := bp.Add(&plan.Operator{Type: plan.BuildHash, Columns: []string{"key"}})
+		bp.ConnectAuto(scan, buildOp)
+		probeOp := bp.Add(&plan.Operator{Type: plan.ProbeHash, Columns: []string{"key"}})
+		bp.Connect(buildOp, probeOp, false)
+		p := bp.MustBuild()
+		lr := benchRun()
+		sts := make([]*liveOpState, len(p.Ops))
+		for i := range sts {
+			sts[i] = &liveOpState{}
+		}
+		lr.states[0] = sts
+		q := newQueryState(0, p, 0)
+		lr.runBuild(p.Ops[buildOp.ID], sts[buildOp.ID], in)
+		st := sts[probeOp.ID]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lr.runProbe(q, p.Ops[probeOp.ID], st, in)
+			benchDrain(lr, st)
+		}
 	})
 
 	b.Run("aggregate", func(b *testing.B) {
-		benchModes(b, func(b *testing.B, scalar bool) {
-			in := benchBlock(b)
-			op := &plan.Operator{Type: plan.Aggregate, Columns: []string{"key"}}
-			lr := benchRun(scalar)
-			st := &liveOpState{}
-			lr.runAggregate(op, st, in) // warm: group state reaches steady size
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lr.runAggregate(op, st, in)
-			}
-		})
+		in := benchBlock(b)
+		op := &plan.Operator{Type: plan.Aggregate, Columns: []string{"key"}}
+		lr := benchRun()
+		st := &liveOpState{}
+		lr.runAggregate(op, st, in) // warm: group state reaches steady size
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lr.runAggregate(op, st, in)
+		}
 	})
 
 	b.Run("sort", func(b *testing.B) {
-		benchModes(b, func(b *testing.B, scalar bool) {
-			in := benchBlock(b)
-			op := &plan.Operator{Type: plan.Sort, Columns: []string{"key"}}
-			lr := benchRun(scalar)
-			st := &liveOpState{}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lr.runSort(nil, op, st, in)
-				benchDrain(lr, st)
-			}
-		})
+		in := benchBlock(b)
+		op := &plan.Operator{Type: plan.Sort, Columns: []string{"key"}}
+		lr := benchRun()
+		st := &liveOpState{}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lr.runSort(nil, op, st, in)
+			benchDrain(lr, st)
+		}
 	})
 
-	// strselect: equality select on a dictionary-encoded string column.
-	// Both modes see the same coded block; the scalar path decodes each
-	// row and compares strings, the vector path compares int codes.
+	// strselect: equality select on a dictionary-encoded string column,
+	// compared as int codes.
 	b.Run("strselect", func(b *testing.B) {
-		benchModes(b, func(b *testing.B, scalar bool) {
-			gen := storage.NewGenerator(42)
-			rel, err := gen.Relation("strsel", benchRows, benchRows, []storage.GenSpec{
-				{Column: storage.Column{Name: "tag", Type: storage.StringCol}, Cardinality: 8, DictEncode: true},
-				{Column: storage.Column{Name: "val", Type: storage.Float64Col}, MinFloat: 0, MaxFloat: 100},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			in := rel.Blocks[0] // ~1/8 selectivity
-			op := &plan.Operator{Type: plan.Select, Columns: []string{"tag"},
-				Pred: plan.Predicate{Kind: plan.PredStringEq, Column: "tag", SOperand: "v3"}}
-			lr := benchRun(scalar)
-			st := &liveOpState{}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lr.runSelect(nil, op, st, in)
-				benchDrain(lr, st)
-			}
-		})
-	})
-
-	// radixsort: sort a block far above the radix cutoff with a wide key
-	// range, so the vector path runs the LSD radix loop rather than the
-	// small-input comparison fallback.
-	b.Run("radixsort", func(b *testing.B) {
-		benchModes(b, func(b *testing.B, scalar bool) {
-			const rows = 16 * benchRows
-			gen := storage.NewGenerator(42)
-			rel, err := gen.Relation("rsort", rows, rows, []storage.GenSpec{
-				{Column: storage.Column{Name: "key", Type: storage.Int64Col}, Cardinality: 1 << 20},
-				{Column: storage.Column{Name: "val", Type: storage.Float64Col}, MinFloat: 0, MaxFloat: 100},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			in := rel.Blocks[0]
-			op := &plan.Operator{Type: plan.Sort, Columns: []string{"key"}}
-			lr := benchRun(scalar)
-			st := &liveOpState{}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lr.runSort(nil, op, st, in)
-				benchDrain(lr, st)
-			}
-		})
-	})
-
-	// partprobe: a probe batch at 4x partitionedProbeMin against a
-	// high-cardinality build side, so the vector path takes the
-	// radix-partitioned probe (partition, probe per-partition, re-emit
-	// in row order) instead of the inline batch probe.
-	b.Run("partprobe", func(b *testing.B) {
-		benchModes(b, func(b *testing.B, scalar bool) {
-			const buildRows = 2 * benchRows
-			const probeRows = 4 * benchRows
-			gen := storage.NewGenerator(42)
-			brel, err := gen.Relation("pbuild", buildRows, buildRows, []storage.GenSpec{
-				{Column: storage.Column{Name: "key", Type: storage.Int64Col}, Cardinality: buildRows},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			prel, err := gen.Relation("pprobe", probeRows, probeRows, []storage.GenSpec{
-				{Column: storage.Column{Name: "key", Type: storage.Int64Col}, Cardinality: buildRows},
-				{Column: storage.Column{Name: "val", Type: storage.Float64Col}, MinFloat: 0, MaxFloat: 100},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			bp := plan.NewBuilder("bench-partjoin")
-			scan := bp.Add(&plan.Operator{Type: plan.TableScan, InputRelations: []string{"pbuild"}})
-			buildOp := bp.Add(&plan.Operator{Type: plan.BuildHash, Columns: []string{"key"}})
-			bp.ConnectAuto(scan, buildOp)
-			probeOp := bp.Add(&plan.Operator{Type: plan.ProbeHash, Columns: []string{"key"}})
-			bp.Connect(buildOp, probeOp, false)
-			p := bp.MustBuild()
-			lr := benchRun(scalar)
-			sts := make([]*liveOpState, len(p.Ops))
-			for i := range sts {
-				sts[i] = &liveOpState{}
-			}
-			lr.states[0] = sts
-			q := newQueryState(0, p, 0)
-			lr.runBuild(p.Ops[buildOp.ID], sts[buildOp.ID], brel.Blocks[0])
-			st := sts[probeOp.ID]
-			in := prel.Blocks[0]
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lr.runProbe(q, p.Ops[probeOp.ID], st, in)
-				benchDrain(lr, st)
-			}
-		})
-	})
-
-	// fusedselect: a select whose sole parent is an aggregate. The
-	// vector path fuses select->project, gathering only the aggregate's
-	// key column into the intermediate block; the scalar path (and the
-	// unfused vector kernel it is compared against elsewhere) carries
-	// every column through.
-	b.Run("fusedselect", func(b *testing.B) {
-		benchModes(b, func(b *testing.B, scalar bool) {
-			in := benchBlock(b)
-			bp := plan.NewBuilder("bench-fused")
-			scan := bp.Add(&plan.Operator{Type: plan.TableScan, InputRelations: []string{"bench"}})
-			sel := bp.Add(&plan.Operator{Type: plan.Select, Columns: []string{"key"},
-				Pred: plan.Predicate{Kind: plan.PredIntLess, Column: "key", Operand: 64}})
-			bp.ConnectAuto(scan, sel)
-			agg := bp.Add(&plan.Operator{Type: plan.Aggregate, Columns: []string{"key"}})
-			bp.ConnectAuto(sel, agg)
-			p := bp.MustBuild()
-			lr := benchRun(scalar)
-			if !scalar {
-				lr.live = NewLive(nil, LiveConfig{Threads: 1}) // enables the fusion cache
-			}
-			st := &liveOpState{}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lr.runSelect(nil, p.Ops[sel.ID], st, in)
-				benchDrain(lr, st)
-			}
-		})
-	})
-}
-
-// BenchmarkLiveRun drives the full engine — dispatch, workers, block
-// pool, query-completion recycling, operator fusion — on both kernel
-// paths. The Live (and with it the block pool and scratch buffers) is
-// hoisted out of the loop, so the numbers reflect steady-state serving:
-// the regime a resident engine reaches after its first few queries.
-func BenchmarkLiveRun(b *testing.B) {
-	benchModes(b, func(b *testing.B, scalar bool) {
 		gen := storage.NewGenerator(42)
-		rel, err := gen.Relation("t", 8*benchRows, benchRows, []storage.GenSpec{
-			{Column: storage.Column{Name: "id", Type: storage.Int64Col}, Sequential: true},
-			{Column: storage.Column{Name: "key", Type: storage.Int64Col}, Cardinality: 128},
+		rel, err := gen.Relation("strsel", benchRows, benchRows, []storage.GenSpec{
+			{Column: storage.Column{Name: "tag", Type: storage.StringCol}, Cardinality: 8, DictEncode: true},
 			{Column: storage.Column{Name: "val", Type: storage.Float64Col}, MinFloat: 0, MaxFloat: 100},
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		cat := storage.NewCatalog()
-		if err := cat.Register(rel); err != nil {
-			b.Fatal(err)
-		}
-		// Plans are read-only during execution (per-query state lives in
-		// the sim and liveRun), so the arrivals are built once and reused.
-		var arrivals []Arrival
-		for i := 0; i < 4; i++ {
-			arrivals = append(arrivals, Arrival{Plan: benchLivePlan(8), At: float64(i) * 0.01})
-		}
-		lv := NewLive(cat, LiveConfig{Threads: 4, ScalarKernels: scalar})
-		if _, err := lv.Run(greedyTestSched{depth: 2}, arrivals); err != nil {
-			b.Fatal(err) // warm pool, scratch, and table capacities
-		}
+		in := rel.Blocks[0] // ~1/8 selectivity
+		op := &plan.Operator{Type: plan.Select, Columns: []string{"tag"},
+			Pred: plan.Predicate{Kind: plan.PredStringEq, Column: "tag", SOperand: "v3"}}
+		lr := benchRun()
+		st := &liveOpState{}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := lv.Run(greedyTestSched{depth: 2}, arrivals); err != nil {
-				b.Fatal(err)
-			}
+			lr.runSelect(nil, op, st, in)
+			benchDrain(lr, st)
 		}
 	})
+
+	// radixsort: sort a block far above the radix cutoff with a wide key
+	// range, so it runs the LSD radix loop rather than the small-input
+	// comparison fallback.
+	b.Run("radixsort", func(b *testing.B) {
+		const rows = 16 * benchRows
+		gen := storage.NewGenerator(42)
+		rel, err := gen.Relation("rsort", rows, rows, []storage.GenSpec{
+			{Column: storage.Column{Name: "key", Type: storage.Int64Col}, Cardinality: 1 << 20},
+			{Column: storage.Column{Name: "val", Type: storage.Float64Col}, MinFloat: 0, MaxFloat: 100},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		in := rel.Blocks[0]
+		op := &plan.Operator{Type: plan.Sort, Columns: []string{"key"}}
+		lr := benchRun()
+		st := &liveOpState{}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lr.runSort(nil, op, st, in)
+			benchDrain(lr, st)
+		}
+	})
+
+	// partprobe: a probe batch at 4x partitionedProbeMin against a
+	// high-cardinality build side, so it takes the radix-partitioned
+	// probe (partition, probe per-partition, re-emit in row order)
+	// instead of the inline batch probe.
+	b.Run("partprobe", func(b *testing.B) {
+		const buildRows = 2 * benchRows
+		const probeRows = 4 * benchRows
+		gen := storage.NewGenerator(42)
+		brel, err := gen.Relation("pbuild", buildRows, buildRows, []storage.GenSpec{
+			{Column: storage.Column{Name: "key", Type: storage.Int64Col}, Cardinality: buildRows},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		prel, err := gen.Relation("pprobe", probeRows, probeRows, []storage.GenSpec{
+			{Column: storage.Column{Name: "key", Type: storage.Int64Col}, Cardinality: buildRows},
+			{Column: storage.Column{Name: "val", Type: storage.Float64Col}, MinFloat: 0, MaxFloat: 100},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bp := plan.NewBuilder("bench-partjoin")
+		scan := bp.Add(&plan.Operator{Type: plan.TableScan, InputRelations: []string{"pbuild"}})
+		buildOp := bp.Add(&plan.Operator{Type: plan.BuildHash, Columns: []string{"key"}})
+		bp.ConnectAuto(scan, buildOp)
+		probeOp := bp.Add(&plan.Operator{Type: plan.ProbeHash, Columns: []string{"key"}})
+		bp.Connect(buildOp, probeOp, false)
+		p := bp.MustBuild()
+		lr := benchRun()
+		sts := make([]*liveOpState, len(p.Ops))
+		for i := range sts {
+			sts[i] = &liveOpState{}
+		}
+		lr.states[0] = sts
+		q := newQueryState(0, p, 0)
+		lr.runBuild(p.Ops[buildOp.ID], sts[buildOp.ID], brel.Blocks[0])
+		st := sts[probeOp.ID]
+		in := prel.Blocks[0]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lr.runProbe(q, p.Ops[probeOp.ID], st, in)
+			benchDrain(lr, st)
+		}
+	})
+
+	// fusedselect: a select whose sole parent is an aggregate, so the
+	// engine fuses select->project and gathers only the aggregate's key
+	// column into the intermediate block.
+	b.Run("fusedselect", func(b *testing.B) {
+		in := benchBlock(b)
+		bp := plan.NewBuilder("bench-fused")
+		scan := bp.Add(&plan.Operator{Type: plan.TableScan, InputRelations: []string{"bench"}})
+		sel := bp.Add(&plan.Operator{Type: plan.Select, Columns: []string{"key"},
+			Pred: plan.Predicate{Kind: plan.PredIntLess, Column: "key", Operand: 64}})
+		bp.ConnectAuto(scan, sel)
+		agg := bp.Add(&plan.Operator{Type: plan.Aggregate, Columns: []string{"key"}})
+		bp.ConnectAuto(sel, agg)
+		p := bp.MustBuild()
+		lr := benchRun()
+		lr.live = NewLive(nil, LiveConfig{Threads: 1}) // enables the fusion cache
+		st := &liveOpState{}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lr.runSelect(nil, p.Ops[sel.ID], st, in)
+			benchDrain(lr, st)
+		}
+	})
+}
+
+// BenchmarkLiveRun drives the full engine — dispatch, workers, block
+// pool, query-completion recycling, operator fusion. The Live (and
+// with it the block pool and scratch buffers) is hoisted out of the
+// loop, so the numbers reflect steady-state serving: the regime a
+// resident engine reaches after its first few queries.
+func BenchmarkLiveRun(b *testing.B) {
+	gen := storage.NewGenerator(42)
+	rel, err := gen.Relation("t", 8*benchRows, benchRows, []storage.GenSpec{
+		{Column: storage.Column{Name: "id", Type: storage.Int64Col}, Sequential: true},
+		{Column: storage.Column{Name: "key", Type: storage.Int64Col}, Cardinality: 128},
+		{Column: storage.Column{Name: "val", Type: storage.Float64Col}, MinFloat: 0, MaxFloat: 100},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cat := storage.NewCatalog()
+	if err := cat.Register(rel); err != nil {
+		b.Fatal(err)
+	}
+	// Plans are read-only during execution (per-query state lives in
+	// the sim and liveRun), so the arrivals are built once and reused.
+	var arrivals []Arrival
+	for i := 0; i < 4; i++ {
+		arrivals = append(arrivals, Arrival{Plan: benchLivePlan(8), At: float64(i) * 0.01})
+	}
+	lv := NewLive(cat, LiveConfig{Threads: 4})
+	if _, err := lv.Run(greedyTestSched{depth: 2}, arrivals); err != nil {
+		b.Fatal(err) // warm pool, scratch, and table capacities
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := lv.Run(greedyTestSched{depth: 2}, arrivals); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkLiveMorsels is the morsel-parallelism A/B: the same

@@ -139,7 +139,8 @@ func TestLiveMorselsEndToEnd(t *testing.T) {
 	reg := metrics.NewRegistry()
 	lvM := NewLive(cat, LiveConfig{Threads: 4, Morsels: 4, Metrics: reg})
 	lvV := NewLive(cat, LiveConfig{Threads: 4, Morsels: 1})
-	lvS := NewLive(cat, LiveConfig{Threads: 4, Morsels: 1, ScalarKernels: true})
+	lvS := NewLive(cat, LiveConfig{Threads: 4, Morsels: 1})
+	lvS.scalar = true
 
 	resM, err := lvM.Run(greedyTestSched{depth: 2}, morselArrivals())
 	if err != nil {
@@ -182,10 +183,5 @@ func TestLiveMorselsAutoDisable(t *testing.T) {
 	}
 	if lv2 := NewLive(nil, LiveConfig{Threads: 4, Morsels: 100}); lv2.morsels != maxMorselParts {
 		t.Fatalf("Morsels=100 resolved %d, want clamp to %d", lv2.morsels, maxMorselParts)
-	}
-	if lv3 := NewLive(nil, LiveConfig{Threads: 4, ScalarKernels: true, Morsels: 4}); lv3.morsels != 4 {
-		// The Live-level bound stays; the scalar run disables splitting
-		// per-run (liveRun.morsels), keeping the A/B baseline per-row.
-		t.Fatalf("scalar config resolved morsels=%d, want 4 at the Live level", lv3.morsels)
 	}
 }

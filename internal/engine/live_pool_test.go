@@ -25,7 +25,8 @@ func TestLiveScalarMatchesVectorEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sca := NewLive(cat, LiveConfig{Threads: 4, ScalarKernels: true})
+	sca := NewLive(cat, LiveConfig{Threads: 4})
+	sca.scalar = true
 	sres, err := sca.Run(greedyTestSched{depth: 2}, arrivals())
 	if err != nil {
 		t.Fatal(err)

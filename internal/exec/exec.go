@@ -19,10 +19,8 @@
 //     probe produces row indices; materialization is a separate gather
 //     so fused consumers can skip it.
 //
-// The scalar per-row path the engine used before this package exists
-// in-tree as the live engine's ScalarKernels configuration, kept for
-// honest A/B benchmarking (BenchmarkLiveKernels) and differential
-// testing.
+// The engine keeps a scalar per-row implementation of every operator
+// as the reference the differential tests compare these kernels with.
 package exec
 
 // Scratch bundles the per-worker reusable buffers the kernels write

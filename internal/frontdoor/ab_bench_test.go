@@ -13,8 +13,7 @@ import (
 // admission controller, reporting the p99 end-to-end latency of
 // *admitted* latency-sensitive queries (p99-ns) and the fraction of
 // latency-sensitive queries dropped (shed-pct). The learned head must
-// win on p99 at an equal-or-lower shed rate — that pair is the
-// recorded before/after in BENCH_hotpath.json.
+// win on p99 at an equal-or-lower shed rate.
 func BenchmarkAdmissionAB(b *testing.B) {
 	arms := []struct {
 		name string

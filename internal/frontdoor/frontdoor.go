@@ -10,14 +10,12 @@
 // rpcsched.Server so it inherits the graceful-shutdown drain and
 // per-connection I/O deadlines.
 //
-// Two cores implement the machinery behind one FrontDoor facade. The
-// default sharded core (shard.go) hash-partitions tenants across
-// power-of-two shards, each owning its tenants' queues, token buckets,
-// deadline sweep, and drain loop, so Submit → admit → dispatch never
-// crosses a global lock; cross-shard load state lives in atomics and
-// executor slots are a CAS semaphore with bounded work-stealing. The
-// legacy single-mutex, single-drain-loop core (single.go) is retained
-// under Options.SingleLoop as the honest A/B baseline.
+// The machinery behind the FrontDoor facade is the sharded core
+// (shard.go): tenants are hash-partitioned across power-of-two shards,
+// each owning its tenants' queues, token buckets, deadline sweep, and
+// drain loop, so Submit → admit → dispatch never crosses a global
+// lock; cross-shard load state lives in atomics and executor slots are
+// a CAS semaphore with bounded work-stealing.
 //
 // Every submitted query reaches exactly one terminal bucket, giving
 // the conservation invariant the stress tests pin:
@@ -27,8 +25,8 @@
 // Rejected means never queued (validation, rate limit, full queue,
 // shutting down); shed means queued but dropped (load shedding,
 // deadline expiry, cancellation, shutdown); admitted means handed an
-// executor slot. On the sharded core the invariant holds as a sum
-// over per-shard terminal buckets.
+// executor slot. The invariant holds as a sum over per-shard terminal
+// buckets.
 package frontdoor
 
 import (
@@ -139,12 +137,12 @@ type Ticket struct {
 	// predDur/predMem cache the estimator's totals for this query: the
 	// prediction depends only on the query's ops, so re-decisions of a
 	// deferred ticket reuse it instead of re-walking the cost windows
-	// on every admission pass. Guarded by the owner core/shard lock.
+	// on every admission pass. Guarded by the owner shard's lock.
 	predDur, predMem float64
 	predDone         bool
 	// provID keys this query's flight-recorder records: the front
-	// door's submission sequence number, unique across tenants (and,
-	// on the sharded core, across shards).
+	// door's submission sequence number, unique across tenants and
+	// shards.
 	provID int64
 }
 
@@ -165,10 +163,9 @@ func (t *Ticket) Done() <-chan Disposition { return t.done }
 func (t *Ticket) Cancel() { t.fd.core.cancel(t) }
 
 // Controller makes the admission decision for the query at the head of
-// a queue. Decide runs under the deciding shard's lock (the whole-door
-// lock on the single-loop core) and may run concurrently from several
-// shards — implementations must be safe for concurrent use and must
-// not block or resubmit.
+// a queue. Decide runs under the deciding shard's lock and may run
+// concurrently from several shards — implementations must be safe for
+// concurrent use and must not block or resubmit.
 type Controller interface {
 	Name() string
 	// Decide returns the action for the candidate query given the
@@ -236,13 +233,9 @@ type Options struct {
 	SweepInterval time.Duration
 	// Shards is the number of independent tenant shards (rounded up to
 	// a power of two, default GOMAXPROCS). Each shard owns its tenants'
-	// queues, buckets, deadline sweep, and drain loop. Ignored when
-	// SingleLoop is set.
+	// queues, buckets, deadline sweep, and drain loop; Shards 1 is the
+	// fully serial door.
 	Shards int
-	// SingleLoop selects the original single-mutex, single-drain-loop
-	// core instead of the sharded one — kept for honest A/B comparison
-	// (BenchmarkFrontDoorSubmit) and as a fallback.
-	SingleLoop bool
 	// Metrics instruments the front door (nil disables).
 	Metrics *metrics.Registry
 	// Provenance, when set, flight-records every admission verdict
@@ -298,30 +291,18 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// admissionCore is the machinery behind the FrontDoor facade: the
-// sharded core (shard.go, the default) or the single-loop core
-// (single.go, Options.SingleLoop).
-type admissionCore interface {
-	submit(t *Ticket) (*Ticket, error)
-	cancel(t *Ticket)
-	draining() bool
-	stats() Stats
-	status() StatusData
-	shutdown(drainTimeout time.Duration) bool
-}
-
 // FrontDoor is the admission-controlled query ingress. Build with New,
 // submit with Submit (or via the HTTP/RPC ingresses), stop with
 // Shutdown.
 type FrontDoor struct {
 	opts Options
 	ins  *instruments
-	core admissionCore
+	core *shardedCore
 }
 
 // tenant is one tenant's queues, token bucket, and cached instruments.
-// A tenant belongs to exactly one core (and, on the sharded core, one
-// shard); all fields are guarded by its owner's lock.
+// A tenant belongs to exactly one shard; all fields are guarded by its
+// owner's lock.
 type tenant struct {
 	name     string
 	queues   [numClasses][]*Ticket
@@ -340,11 +321,7 @@ func New(opts Options) (*FrontDoor, error) {
 	}
 	o := opts.withDefaults()
 	fd := &FrontDoor{opts: o, ins: newInstruments(o.Metrics)}
-	if o.SingleLoop {
-		fd.core = newSingleCore(fd)
-	} else {
-		fd.core = newShardedCore(fd)
-	}
+	fd.core = newShardedCore(fd)
 	return fd, nil
 }
 
@@ -366,9 +343,9 @@ func (fd *FrontDoor) Submit(q *Query) (*Ticket, error) {
 // submissions are rejected) — the /healthz readiness signal.
 func (fd *FrontDoor) Draining() bool { return fd.core.draining() }
 
-// Stats is a conservation-accounting snapshot. On the sharded core the
-// terminal counts are sums over per-shard buckets; after a quiesce
-// (shutdown, or all tickets resolved) they are exact.
+// Stats is a conservation-accounting snapshot. The terminal counts are
+// sums over per-shard buckets; after a quiesce (shutdown, or all
+// tickets resolved) they are exact.
 type Stats struct {
 	Submitted, Admitted, Shed, Rejected int64
 	Queued, InFlight                    int
@@ -390,9 +367,8 @@ func (fd *FrontDoor) Shutdown(drainTimeout time.Duration) bool {
 }
 
 // loadSnapshot is the load view admission features are computed from:
-// whole-door occupancy at (approximately) decision time. The single
-// core reads it under its lock; the sharded core assembles it from the
-// global atomics (see shard.go).
+// whole-door occupancy at (approximately) decision time, assembled
+// from the core's atomics (shardedCore.snapshot).
 type loadSnapshot struct {
 	queued    int     // queued queries, all classes
 	queuedLat int     // queued latency-class queries
@@ -464,8 +440,8 @@ type policyVersioned interface {
 }
 
 // recordAdmission flight-records one terminal admission verdict. The
-// caller owns featBuf/scoreBuf (per-core or per-shard scratch, guarded
-// by the caller's lock) so the hot path stays allocation-free; the
+// caller owns featBuf/scoreBuf (per-shard scratch, guarded by the
+// shard's lock) so the hot path stays allocation-free; the
 // (possibly regrown) feature buffer is returned for reuse.
 func recordAdmission(o *Options, t *Ticket, dec Decision, featBuf []float64, scoreBuf *[1]float64) []float64 {
 	if o.Provenance == nil {

@@ -53,8 +53,7 @@ func MetricWait(class Class) string {
 	return metrics.LabeledName("frontdoor_wait", "class", class.String())
 }
 
-// MetricShardQueued is the per-shard queued-query gauge name (sharded
-// core only).
+// MetricShardQueued is the per-shard queued-query gauge name.
 func MetricShardQueued(shard int) string {
 	return metrics.LabeledName("frontdoor_shard_queued", "shard", strconv.Itoa(shard))
 }
@@ -81,10 +80,7 @@ type instruments struct {
 	wait           [numClasses]*metrics.Histogram
 }
 
-// shardInstruments are one shard's metric handles. They are created
-// per shard by the sharded core (the single-loop core never registers
-// shard series, keeping its exposition — and the golden file pinning
-// it — unchanged).
+// shardInstruments are one shard's metric handles.
 type shardInstruments struct {
 	queued   *metrics.Gauge
 	inflight *metrics.Gauge
@@ -103,6 +99,7 @@ func newInstruments(reg *metrics.Registry) *instruments {
 		inflight:       reg.Gauge("frontdoor_inflight"),
 		deadlineMet:    reg.Counter("frontdoor_deadline_met"),
 		deadlineMissed: reg.Counter("frontdoor_deadline_missed"),
+		steals:         reg.Counter(MetricSteals),
 	}
 	for c := Class(0); c < numClasses; c++ {
 		ins.latency[c] = reg.Histogram(MetricLatency(c), nil)
@@ -111,13 +108,8 @@ func newInstruments(reg *metrics.Registry) *instruments {
 	return ins
 }
 
-// forShard builds one shard's instrument set (sharded core only; also
-// registers the door-level steal counter on first use so single-loop
-// registries never carry shard series).
+// forShard builds one shard's instrument set.
 func (ins *instruments) forShard(shard int) shardInstruments {
-	if ins.steals == nil {
-		ins.steals = ins.reg.Counter(MetricSteals)
-	}
 	return shardInstruments{
 		queued:   ins.reg.Gauge(MetricShardQueued(shard)),
 		inflight: ins.reg.Gauge(MetricShardInFlight(shard)),

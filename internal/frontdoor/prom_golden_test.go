@@ -35,6 +35,7 @@ func goldenFrontDoorRegistry() *metrics.Registry {
 	ins.inflight.Set(8)
 	ins.deadlineMet.Add(60)
 	ins.deadlineMissed.Add(4)
+	ins.steals.Add(7)
 	for _, v := range []float64{0.001, 0.01, 0.02, 0.5} {
 		ins.latency[ClassLatency].Observe(v)
 		ins.wait[ClassLatency].Observe(v / 2)

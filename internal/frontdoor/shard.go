@@ -11,7 +11,7 @@ import (
 	"repro/internal/rpcsched"
 )
 
-// shardedCore is the default front-door machinery: tenants are
+// shardedCore is the front-door machinery: tenants are
 // hash-partitioned across power-of-two shards, each owning its
 // tenants' bounded queues, token buckets, deadline sweep, and drain
 // loop, so Submit → admit → dispatch touches only the owning shard's
@@ -41,7 +41,6 @@ import (
 // shard's backlog, morsel-style — PR 8's intra-work-order stealing,
 // one level up.
 type shardedCore struct {
-	fd   *FrontDoor
 	opts *Options
 	ins  *instruments
 
@@ -110,7 +109,6 @@ type shard struct {
 // newShardedCore builds and starts the sharded core.
 func newShardedCore(owner *FrontDoor) *shardedCore {
 	c := &shardedCore{
-		fd:   owner,
 		opts: &owner.opts,
 		ins:  owner.ins,
 	}
@@ -422,8 +420,8 @@ func (sh *shard) admitOneLocked(now time.Time) admitResult {
 			// slot to bulk work, yield if another shard has latency
 			// queries queued (this shard's own latency heads were
 			// already scanned above — if any are still queued the
-			// controller deferred them, which falls through to bulk
-			// exactly as on the single-loop core). The owning shard
+			// controller deferred them, which falls through to
+			// bulk). The owning shard
 			// was kicked when that query arrived and is kicked again
 			// on every completion; our own drain loop retries on the
 			// same signals, so the yield costs one pass, not a stall.

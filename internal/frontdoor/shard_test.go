@@ -25,10 +25,7 @@ func TestShardRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fd.Shutdown(time.Second)
-	sc, ok := fd.core.(*shardedCore)
-	if !ok {
-		t.Fatalf("Shards:5 built %T, want *shardedCore", fd.core)
-	}
+	sc := fd.core
 	if len(sc.shards) != 8 {
 		t.Fatalf("Shards:5 rounded to %d shards, want 8", len(sc.shards))
 	}
@@ -74,7 +71,7 @@ func TestCrossShardFairness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := fd.core.(*shardedCore)
+	sc := fd.core
 	const hot = "hot"
 	light := coHashedTenant(sc, hot)
 
@@ -167,7 +164,7 @@ func TestWorkStealingConservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := fd.core.(*shardedCore)
+		sc := fd.core
 		const hot = "hot"
 		cold := differentShardTenant(sc, hot)
 

@@ -1,8 +1,8 @@
 package frontdoor
 
 // StatusData is the /frontdoor endpoint payload: terminal-bucket
-// counts, live occupancy, per-tenant detail, and — on the sharded
-// core — the per-shard breakdown.
+// counts, live occupancy, per-tenant detail, and the per-shard
+// breakdown.
 type StatusData struct {
 	Controller string  `json:"controller"`
 	InFlight   int     `json:"in_flight"`
@@ -15,7 +15,6 @@ type StatusData struct {
 
 	Tenants []TenantStatus `json:"tenants,omitempty"`
 	// Shards breaks occupancy and terminal counts down by shard.
-	// Absent on the single-loop core.
 	Shards []ShardStatus `json:"shards,omitempty"`
 }
 

@@ -18,20 +18,21 @@ import (
 //
 // Run under -race (scripts/check.sh includes this package in the race
 // set); the invariant plus the race detector covers the queue
-// bookkeeping, cancel-vs-admit races, and shutdown shedding. Both
-// cores run the same churn: the single-loop core for the legacy path,
-// the sharded core at 8 shards/8 procs for the parallel one.
+// bookkeeping, cancel-vs-admit races, and shutdown shedding. The churn
+// runs on a single shard (fully serial door, no stealing) and sharded
+// at 8 shards/8 procs, where submitters, drain loops and thieves
+// overlap.
 func TestConservationUnderChurn(t *testing.T) {
 	t.Run("single", func(t *testing.T) {
-		conservationChurn(t, func(o *Options) { o.SingleLoop = true })
+		conservationChurn(t, 1)
 	})
 	t.Run("sharded", func(t *testing.T) {
 		withProcs(t, 8)
-		conservationChurn(t, func(o *Options) { o.Shards = 8 })
+		conservationChurn(t, 8)
 	})
 }
 
-func conservationChurn(t *testing.T, tune func(*Options)) {
+func conservationChurn(t *testing.T, shards int) {
 	const (
 		tenants     = 6
 		producers   = 4 // per tenant
@@ -45,8 +46,8 @@ func conservationChurn(t *testing.T, tune func(*Options)) {
 		Rate:          2000,
 		Burst:         50,
 		SweepInterval: time.Millisecond,
+		Shards:        shards,
 	}
-	tune(&opts)
 	fd, err := New(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -16,30 +16,27 @@ type instantBackend struct{}
 
 func (instantBackend) Run(*Query) (*Result, error) { return &Result{}, nil }
 
-// BenchmarkFrontDoorSubmit is the single-loop vs sharded A/B on the
-// hot path: concurrent submitters (one tenant per goroutine, so the
-// sharded arm spreads across shards) each submit and wait for the
-// ticket to resolve. Run with -cpu 1,4,8: at one proc the two cores
-// are near-identical; the sharded core pulls ahead as procs grow
-// because submit→admit→dispatch never crosses a global lock.
-// scripts/bench.sh records both arms in BENCH_hotpath.json.
+// BenchmarkFrontDoorSubmit times the submit hot path: concurrent
+// submitters (one tenant per goroutine, so they spread across shards)
+// each submit and wait for the ticket to resolve. The shards1 arm
+// serializes every submitter on one shard lock; the default arm
+// (GOMAXPROCS shards) is what the CLIs run.
 func BenchmarkFrontDoorSubmit(b *testing.B) {
 	arms := []struct {
-		name string
-		tune func(*Options)
+		name   string
+		shards int
 	}{
-		{"single", func(o *Options) { o.SingleLoop = true }},
-		{"sharded", func(o *Options) {}},
+		{"shards1", 1},
+		{"default", 0},
 	}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
-			opts := Options{
+			fd, err := New(Options{
 				Backend:     instantBackend{},
 				MaxInFlight: 64,
 				QueueCap:    1024,
-			}
-			arm.tune(&opts)
-			fd, err := New(opts)
+				Shards:      arm.shards,
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -70,8 +67,7 @@ func BenchmarkFrontDoorSubmit(b *testing.B) {
 // admitted latency-class queries (p99-ns) and the drop rate of the
 // latency class (shed-pct) at each step. The pairs trace the overload
 // curve: flat p99 below saturation, and — with working admission —
-// still-bounded p99 past it, paid for with shed load. scripts/bench.sh
-// records the curve in BENCH_hotpath.json.
+// still-bounded p99 past it, paid for with shed load.
 func BenchmarkOverloadCurve(b *testing.B) {
 	arms := []struct {
 		name string

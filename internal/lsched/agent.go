@@ -52,13 +52,6 @@ type Options struct {
 	Name string
 	// FeatCfg sets feature dimensions; zero value selects defaults.
 	FeatCfg features.Config
-	// DisableFastPath turns off the serving fast path (gradient-free
-	// inference tape, per-query encoding cache, and per-event scratch
-	// reuse) and restores the fully allocating recording-tape pipeline.
-	// The zero value keeps the fast path on; the toggle exists for
-	// A/B benchmarking and for bit-identity tests — decisions are the
-	// same either way.
-	DisableFastPath bool
 }
 
 // DefaultOptions returns the configuration used in the experiments.
@@ -113,10 +106,10 @@ type Agent struct {
 	// tape is the recording tape used for gradient replay; it is reused
 	// across updates to recycle its arenas.
 	tape *nn.Tape
-	// inferTape is the gradient-free tape the serving fast path runs
-	// forward passes on: no Grad slabs, no backward closures.
+	// inferTape is the gradient-free tape OnEvent runs forward passes
+	// on: no Grad slabs, no backward closures.
 	inferTape *nn.Tape
-	// cache memoizes per-query encodings across events (fast path only).
+	// cache memoizes per-query encodings across events.
 	cache *encoder.Cache
 	// adm is the lazily created admission head (see Admission).
 	adm *AdmissionHead
@@ -124,8 +117,8 @@ type Agent struct {
 	recording bool
 	episode   []*step
 
-	// Per-event scratch reused by the fast path. An Agent drives one
-	// engine from one goroutine, so plain fields are safe; everything
+	// Per-event scratch reused by OnEvent. An Agent drives one engine
+	// from one goroutine, so plain fields are safe; everything
 	// here is dead by the time OnEvent returns (steps recorded for
 	// replay are deep copies).
 	snapScratch   encoder.Snapshot
@@ -153,9 +146,8 @@ type Agent struct {
 	// encoder consumed, the root logits (stop logit last), the chosen
 	// root, and the critical-path heuristic's counterfactual pick.
 	// provVersion stamps records with the serving policy-store version.
-	prov            *provenance.Recorder
-	provVersion     int
-	provFeatScratch []float64
+	prov        *provenance.Recorder
+	provVersion int
 }
 
 // New builds an agent with freshly initialized parameters.
@@ -212,10 +204,6 @@ func (a *Agent) Options() Options { return a.opts }
 
 // SetGreedy toggles argmax action selection.
 func (a *Agent) SetGreedy(g bool) { a.opts.Greedy = g }
-
-// SetFastPath toggles the serving fast path (on by default). Decisions
-// are bit-identical either way; the toggle exists for benchmarking.
-func (a *Agent) SetFastPath(on bool) { a.opts.DisableFastPath = !on }
 
 // EncodingCacheStats reports the encoding cache's hit/miss counters.
 func (a *Agent) EncodingCacheStats() (hits, misses uint64) {
@@ -281,39 +269,18 @@ func (a *Agent) stopRecording() []*step {
 	return out
 }
 
-// buildSnapshot captures the feature tensors of every running query,
-// allocating everything fresh (the slow path and recording fallback).
-func (a *Agent) buildSnapshot(st *engine.State) *encoder.Snapshot {
-	snap := &encoder.Snapshot{}
-	for _, q := range st.Queries {
-		qs := encoder.QuerySnapshot{QueryID: q.ID, QF: a.ext.Query(st, q)}
-		for _, os := range q.OpStates {
-			op := encoder.OpSnapshot{OpID: os.Op.ID, Feat: a.ext.Operator(st, q, os)}
-			for _, e := range os.Op.Children() {
-				op.Children = append(op.Children, encoder.ChildRef{
-					OpIdx:    e.Child.ID,
-					EdgeFeat: a.ext.Edge(e),
-				})
-			}
-			qs.Ops = append(qs.Ops, op)
-		}
-		snap.Queries = append(snap.Queries, qs)
-	}
-	return snap
-}
-
 // arenaTail returns the arena slice written since base, capped so later
 // appends cannot alias into it.
 func arenaTail(arena []float64, base int) []float64 {
 	return arena[base:len(arena):len(arena)]
 }
 
-// buildSnapshotScratch is buildSnapshot into agent-owned buffers: all
-// feature vectors land in one flat float64 arena and the snapshot
-// structure is recycled event to event, so a steady-state event
-// allocates nothing. The returned snapshot is valid until the next
-// OnEvent; recording deep-copies it first.
-func (a *Agent) buildSnapshotScratch(st *engine.State) *encoder.Snapshot {
+// buildSnapshot captures the feature tensors of every running query
+// in agent-owned buffers: all feature vectors land in one flat float64
+// arena and the snapshot structure is recycled event to event, so a
+// steady-state event allocates nothing. The returned snapshot is valid
+// until the next OnEvent; recording deep-copies it first.
+func (a *Agent) buildSnapshot(st *engine.State) *encoder.Snapshot {
 	snap := &a.snapScratch
 	snap.Queries = snap.Queries[:0]
 	a.featArena = a.featArena[:0]
@@ -383,27 +350,6 @@ func cloneSnapshot(snap *encoder.Snapshot) *encoder.Snapshot {
 	return out
 }
 
-// flattenSnapshot serializes a slow-path snapshot's feature tensors
-// into one flat vector (agent scratch, reused across events) in the
-// same query → QF, per-op Feat, per-edge EdgeFeat order the fast
-// path's feature arena uses, so provenance records are comparable
-// across paths.
-func (a *Agent) flattenSnapshot(snap *encoder.Snapshot) []float64 {
-	out := a.provFeatScratch[:0]
-	for qi := range snap.Queries {
-		q := &snap.Queries[qi]
-		out = append(out, q.QF...)
-		for oi := range q.Ops {
-			out = append(out, q.Ops[oi].Feat...)
-			for ci := range q.Ops[oi].Children {
-				out = append(out, q.Ops[oi].Children[ci].EdgeFeat...)
-			}
-		}
-	}
-	a.provFeatScratch = out
-	return out
-}
-
 // criticalPathPick is the heuristic counterfactual recorded with each
 // scheduling decision: the candidate the critical-path baseline would
 // activate (longest pipeline path, first wins ties), mirroring
@@ -450,61 +396,36 @@ func appendCandidates(dst []predictor.Candidate, rootsScratch []*plan.Operator, 
 	return dst, rootsScratch
 }
 
-// candidates is the allocating form of appendCandidates.
-func candidates(st *engine.State, maxDepth int) []predictor.Candidate {
-	cands, _ := appendCandidates(nil, nil, st, maxDepth)
-	return cands
-}
-
 // OnEvent implements engine.Scheduler: it encodes the state once, takes
 // up to MaxDecisionsPerEvent root decisions (sampled without
 // replacement, bounded by the free thread count), and then predicts the
 // parallelism degree of every running query (§5.3.3), emitting
 // grant-only decisions so thread shares are re-balanced at each event.
 //
-// The fast path (the default) runs the forward pass on a gradient-free
-// tape, serves unchanged queries from the encoding cache, and reuses
-// agent-owned scratch buffers, so a steady-state event allocates
-// almost nothing. It is used even while recording an episode: the
-// sampled actions only depend on forward values, which are
-// bit-identical across tape modes, and replayStep re-runs the forward
-// pass on the recording tape when gradients are needed.
+// The forward pass runs on a gradient-free tape, unchanged queries are
+// served from the encoding cache, and every buffer is agent-owned
+// scratch, so a steady-state event allocates almost nothing. The same
+// path serves while recording an episode: the sampled actions only
+// depend on forward values, which are bit-identical across tape modes,
+// and replayStep re-runs the forward pass on the recording tape when
+// gradients are needed.
 func (a *Agent) OnEvent(st *engine.State, ev Event) []engine.Decision {
 	if len(st.Queries) == 0 {
 		return nil
 	}
 	a.mEvents.Inc()
-	fast := !a.opts.DisableFastPath
-	var (
-		cands []predictor.Candidate
-		snap  *encoder.Snapshot
-		t     *nn.Tape
-		enc   *encoder.Output
-	)
-	if fast {
-		cands, a.planScratch = appendCandidates(a.candScratch[:0], a.planScratch, st, a.pred.Config().MaxPipelineDepth)
-		a.candScratch = cands
-		snap = a.buildSnapshotScratch(st)
-		t = a.inferTape
-		t.Reset()
-		enc = a.enc.EncodeWithCache(t, snap, a.cache, a.params.Version())
-		a.mCacheHits.Set(float64(a.cache.Hits()))
-		a.mCacheMisses.Set(float64(a.cache.Misses()))
-	} else {
-		cands = candidates(st, a.pred.Config().MaxPipelineDepth)
-		snap = a.buildSnapshot(st)
-		t = a.tape
-		t.Reset()
-		enc = a.enc.Encode(t, snap)
-	}
+	cands, planScratch := appendCandidates(a.candScratch[:0], a.planScratch, st, a.pred.Config().MaxPipelineDepth)
+	a.candScratch, a.planScratch = cands, planScratch
+	snap := a.buildSnapshot(st)
+	t := a.inferTape
+	t.Reset()
+	enc := a.enc.EncodeWithCache(t, snap, a.cache, a.params.Version())
+	a.mCacheHits.Set(float64(a.cache.Hits()))
+	a.mCacheMisses.Set(float64(a.cache.Misses()))
 	a.mCandidates.Set(float64(len(cands)))
 
-	var decisions []engine.Decision
-	var roots []rootChoice
-	if fast {
-		decisions = a.decScratch[:0]
-		roots = a.rootScratch[:0]
-	}
+	decisions := a.decScratch[:0]
+	roots := a.rootScratch[:0]
 	if len(cands) > 0 {
 		// Root logits do not change within one event; sampling without
 		// replacement only needs the ban mask. A trailing stop logit
@@ -512,12 +433,7 @@ func (a *Agent) OnEvent(st *engine.State, ev Event) []engine.Decision {
 		// how staggered pipelines and buffer headroom are expressed.
 		rootLogits := t.Concat(a.pred.RootLogits(t, enc, cands), a.pred.StopLogit(t, enc))
 		stopIdx := len(cands)
-		var banned []bool
-		if fast {
-			banned = a.boolScratch(len(cands) + 1)
-		} else {
-			banned = make([]bool, len(cands)+1)
-		}
+		banned := a.boolScratch(len(cands) + 1)
 		budget := st.FreeThreads()
 		if budget < 1 {
 			budget = 1
@@ -563,13 +479,7 @@ func (a *Agent) OnEvent(st *engine.State, ev Event) []engine.Decision {
 			// Flight-record the root decision: the exact flat feature
 			// arena the encoder consumed, every root logit (stop last),
 			// the first pick taken, and what the critical-path heuristic
-			// would have activated instead. The fast path's arena is
-			// already flat; the slow path flattens into agent scratch, so
-			// neither allocates steady-state.
-			feats := a.featArena
-			if !fast {
-				feats = a.flattenSnapshot(snap)
-			}
+			// would have activated instead.
 			qid, action, actionArg := int64(-1), int32(-1), int32(0)
 			if len(roots) > 0 && roots[0].pick < stopIdx {
 				c := cands[roots[0].pick]
@@ -578,19 +488,14 @@ func (a *Agent) OnEvent(st *engine.State, ev Event) []engine.Decision {
 				actionArg = int32(roots[0].pipePick)
 			}
 			a.prov.Record(provenance.KindSchedule, qid, "", a.provVersion,
-				feats, rootLogits.Val, action, actionArg, criticalPathPick(cands))
+				a.featArena, rootLogits.Val, action, actionArg, criticalPathPick(cands))
 		}
 	}
 	// Parallelism degree for every running query.
-	var grants []int
-	if fast {
-		if cap(a.grantScratch) < len(snap.Queries) {
-			a.grantScratch = make([]int, len(snap.Queries))
-		}
-		grants = a.grantScratch[:len(snap.Queries)]
-	} else {
-		grants = make([]int, len(snap.Queries))
+	if cap(a.grantScratch) < len(snap.Queries) {
+		a.grantScratch = make([]int, len(snap.Queries))
 	}
+	grants := a.grantScratch[:len(snap.Queries)]
 	for qi := range snap.Queries {
 		parLogits := a.pred.ParallelismLogits(t, enc, qi, snap.Queries[qi].QF)
 		bucket := a.sampleBounded(parLogits.Val, len(parLogits.Val)-1)
@@ -602,24 +507,20 @@ func (a *Agent) OnEvent(st *engine.State, ev Event) []engine.Decision {
 		})
 	}
 	if a.recording {
-		s := &step{time: st.Now, liveQueries: len(st.Queries)}
-		if fast {
-			// The scratch backing everything is reused next event, so the
-			// recorded step keeps its own deep copies.
-			s.snap = cloneSnapshot(snap)
-			s.cands = append([]predictor.Candidate(nil), cands...)
-			s.roots = append([]rootChoice(nil), roots...)
-			s.grants = append([]int(nil), grants...)
-		} else {
-			s.snap, s.cands, s.roots, s.grants = snap, cands, roots, grants
-		}
-		a.episode = append(a.episode, s)
+		// The scratch backing everything is reused next event, so the
+		// recorded step keeps its own deep copies.
+		a.episode = append(a.episode, &step{
+			snap:        cloneSnapshot(snap),
+			cands:       append([]predictor.Candidate(nil), cands...),
+			roots:       append([]rootChoice(nil), roots...),
+			grants:      append([]int(nil), grants...),
+			time:        st.Now,
+			liveQueries: len(st.Queries),
+		})
 	}
-	if fast {
-		// Keep grown capacity for the next event.
-		a.decScratch = decisions[:0]
-		a.rootScratch = roots[:0]
-	}
+	// Keep grown capacity for the next event.
+	a.decScratch = decisions[:0]
+	a.rootScratch = roots[:0]
 	return decisions
 }
 
@@ -638,9 +539,6 @@ func (a *Agent) boolScratch(n int) []bool {
 // probs returns a zeroed agent-owned float64 scratch slice of length n
 // (sampling helpers run strictly sequentially within one event).
 func (a *Agent) probs(n int) []float64 {
-	if a.opts.DisableFastPath {
-		return make([]float64, n)
-	}
 	if cap(a.probScratch) < n {
 		a.probScratch = make([]float64, n)
 	}

@@ -33,20 +33,16 @@ func benchState(tb testing.TB, nq, threads int) *engine.State {
 // BenchmarkAgentOnEvent measures one scheduling decision end to end
 // (features → encoder → heads → sampling). Sub-benchmarks:
 //
-//	greedy-fast: the serving fast path (inference tape, encoding
-//	             cache, scratch buffers) — the "after" number.
-//	greedy-full: the same decision on the allocating recording-tape
-//	             path (DisableFastPath) — the pre-optimization "before".
-//	recording:   the fast path while recording an episode (training
+//	greedy-fast: serving (inference tape, encoding cache, scratch
+//	             buffers).
+//	recording:   the same while recording an episode (training
 //	             rollouts), which deep-copies each step.
-//	greedy-fast-prov: the serving fast path with the provenance flight
-//	             recorder attached — its overhead vs greedy-fast is the
-//	             cost of decision capture.
+//	greedy-fast-prov: serving with the provenance flight recorder
+//	             attached — its overhead vs greedy-fast is the cost of
+//	             decision capture.
 func BenchmarkAgentOnEvent(b *testing.B) {
-	run := func(b *testing.B, disable, record, prov bool) {
-		opts := DefaultOptions(1)
-		opts.DisableFastPath = disable
-		a := New(opts)
+	run := func(b *testing.B, record, prov bool) {
+		a := New(DefaultOptions(1))
 		a.SetGreedy(!record)
 		if prov {
 			a.SetProvenance(provenance.NewRecorder(provenance.Options{Capacity: 256}))
@@ -68,31 +64,41 @@ func BenchmarkAgentOnEvent(b *testing.B) {
 			a.OnEvent(st, ev)
 		}
 	}
-	b.Run("greedy-fast", func(b *testing.B) { run(b, false, false, false) })
-	b.Run("greedy-full", func(b *testing.B) { run(b, true, false, false) })
-	b.Run("recording", func(b *testing.B) { run(b, false, true, false) })
-	b.Run("greedy-fast-prov", func(b *testing.B) { run(b, false, false, true) })
+	b.Run("greedy-fast", func(b *testing.B) { run(b, false, false) })
+	b.Run("recording", func(b *testing.B) { run(b, true, false) })
+	b.Run("greedy-fast-prov", func(b *testing.B) { run(b, false, true) })
+}
+
+// onEventAllocs is the steady-state allocation count of one greedy
+// OnEvent over benchState, with or without the flight recorder.
+func onEventAllocs(t *testing.T, prov bool) float64 {
+	a := New(DefaultOptions(1))
+	a.SetGreedy(true)
+	if prov {
+		a.SetProvenance(provenance.NewRecorder(provenance.Options{Capacity: 256}))
+	}
+	st := benchState(t, 6, 8)
+	ev := engine.Event{}
+	for i := 0; i < 64; i++ { // warm scratch, caches, ring slabs
+		a.OnEvent(st, ev)
+	}
+	return testing.AllocsPerRun(200, func() { a.OnEvent(st, ev) })
+}
+
+// TestFastPathAllocBudget pins the serving allocation budget: a
+// steady-state greedy OnEvent allocates at most twice.
+func TestFastPathAllocBudget(t *testing.T) {
+	if got := onEventAllocs(t, false); got > 2 {
+		t.Fatalf("steady-state OnEvent allocates %.1f times, budget is 2", got)
+	}
 }
 
 // TestProvenanceRecordingAllocBudget pins the acceptance criterion that
 // attaching the flight recorder costs at most one extra allocation per
-// scheduling decision on the serving fast path (it should cost zero
-// once the ring slabs are warm).
+// scheduling decision (it should cost zero once the ring slabs are
+// warm).
 func TestProvenanceRecordingAllocBudget(t *testing.T) {
-	measure := func(prov bool) float64 {
-		a := New(DefaultOptions(1))
-		a.SetGreedy(true)
-		if prov {
-			a.SetProvenance(provenance.NewRecorder(provenance.Options{Capacity: 256}))
-		}
-		st := benchState(t, 6, 8)
-		ev := engine.Event{}
-		for i := 0; i < 64; i++ { // warm scratch, caches, ring slabs
-			a.OnEvent(st, ev)
-		}
-		return testing.AllocsPerRun(200, func() { a.OnEvent(st, ev) })
-	}
-	base, withProv := measure(false), measure(true)
+	base, withProv := onEventAllocs(t, false), onEventAllocs(t, true)
 	if withProv > base+1 {
 		t.Fatalf("provenance adds %.1f allocs/op (base %.1f, with recorder %.1f), budget is 1",
 			withProv-base, base, withProv)

@@ -10,7 +10,7 @@ import (
 
 // collectDecisions runs one seeded simulation under ag and returns the
 // full decision stream plus the run summary.
-func collectDecisions(t *testing.T, ag *Agent, simSeed int64, arrivals []engine.Arrival) ([]engine.Decision, *engine.SimResult) {
+func collectDecisions(t *testing.T, ag engine.Scheduler, simSeed int64, arrivals []engine.Arrival) ([]engine.Decision, *engine.SimResult) {
 	t.Helper()
 	var ds []engine.Decision
 	spy := spySched{inner: ag, onDecision: func(d engine.Decision) { ds = append(ds, d) }}
@@ -23,9 +23,10 @@ func collectDecisions(t *testing.T, ag *Agent, simSeed int64, arrivals []engine.
 }
 
 // TestFastPathDecisionsBitIdentical drives the same seeded workload
-// through a fast-path agent (inference tape + encoding cache + scratch
-// reuse) and a slow-path agent, and requires the decision sequences,
-// per-query durations, and full engine traces to match bit for bit.
+// through Agent.OnEvent (inference tape + encoding cache + scratch
+// reuse) and through the recording-tape oracle, and requires the
+// decision sequences, per-query durations, and full engine traces to
+// match bit for bit.
 func TestFastPathDecisionsBitIdentical(t *testing.T) {
 	for _, greedy := range []bool{true, false} {
 		name := "sampling"
@@ -33,14 +34,12 @@ func TestFastPathDecisionsBitIdentical(t *testing.T) {
 			name = "greedy"
 		}
 		t.Run(name, func(t *testing.T) {
-			mk := func(disable bool) *Agent {
-				opts := DefaultOptions(21)
-				opts.DisableFastPath = disable
-				a := New(opts)
+			mk := func() *Agent {
+				a := New(DefaultOptions(21))
 				a.SetGreedy(greedy)
 				return a
 			}
-			fast, slow := mk(false), mk(true)
+			fast, slow := mk(), tapeOracle{mk()}
 			dsF, resF := collectDecisions(t, fast, 21, testArrivals(t, 8, 21))
 			dsS, resS := collectDecisions(t, slow, 21, testArrivals(t, 8, 21))
 			if len(dsF) != len(dsS) {
@@ -78,8 +77,8 @@ func TestFastPathDecisionsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFastPathRecordedStepsSurviveReuse checks that steps recorded on
-// the fast path are deep copies: replaying them after further events
+// TestFastPathRecordedStepsSurviveReuse checks that steps recorded by
+// OnEvent are deep copies: replaying them after further events
 // (which overwrite the scratch buffers) must see the original features.
 func TestFastPathRecordedStepsSurviveReuse(t *testing.T) {
 	agent := New(DefaultOptions(23))
@@ -111,26 +110,6 @@ func TestFastPathRecordedStepsSurviveReuse(t *testing.T) {
 	agent.params.ZeroGrads()
 	for _, s := range steps {
 		agent.replayStep(s, 0.1, 0.01)
-	}
-}
-
-// TestFastPathAllocsReduced asserts the headline perf win: a
-// steady-state greedy OnEvent on the fast path allocates at most half
-// of what the slow path does.
-func TestFastPathAllocsReduced(t *testing.T) {
-	measure := func(disable bool) float64 {
-		opts := DefaultOptions(29)
-		opts.DisableFastPath = disable
-		a := New(opts)
-		a.SetGreedy(true)
-		st := benchState(t, 6, 8)
-		ev := engine.Event{}
-		a.OnEvent(st, ev) // warm scratch, caches, and estimator windows
-		return testing.AllocsPerRun(50, func() { a.OnEvent(st, ev) })
-	}
-	fast, slow := measure(false), measure(true)
-	if fast*2 > slow {
-		t.Fatalf("fast path allocs %v not at least 2x below slow path %v", fast, slow)
 	}
 }
 

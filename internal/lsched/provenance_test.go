@@ -99,29 +99,56 @@ func TestAgentRecordsScheduleDecisions(t *testing.T) {
 	}
 }
 
-// TestAgentProvenanceFastAndFullPathsAgree records the same decision
-// state through the fast path (feature arena) and the recording-tape
-// path (flattenSnapshot) and checks both capture a feature vector of
-// the same dimension — the two paths must describe the same state.
+// TestAgentProvenanceFastAndFullPathsAgree records the same greedy run
+// through OnEvent (feature arena, inference tape) and through the
+// recording-tape oracle (flattened fresh snapshot) and requires every
+// record to carry the same feature vector, root logits and action bit
+// for bit — the two paths must describe the same state.
 func TestAgentProvenanceFastAndFullPathsAgree(t *testing.T) {
-	dims := func(disable bool) int {
-		opts := DefaultOptions(1)
-		opts.DisableFastPath = disable
-		a := New(opts)
+	records := func(full bool) []provenance.Record {
+		a := New(DefaultOptions(1))
 		a.SetGreedy(true)
-		rec := provenance.NewRecorder(provenance.Options{Capacity: 64})
+		rec := provenance.NewRecorder(provenance.Options{Capacity: 4096})
 		a.SetProvenance(rec)
+		var sched engine.Scheduler = a
+		if full {
+			sched = tapeOracle{a}
+		}
 		sim := engine.NewSim(engine.SimConfig{Threads: 4, Seed: 7})
-		if _, err := sim.Run(a, testArrivals(t, 3, 7)); err != nil {
+		if _, err := sim.Run(sched, testArrivals(t, 3, 7)); err != nil {
 			t.Fatal(err)
 		}
-		recs := rec.Recent(1)
+		recs := rec.Recent(4096)
 		if len(recs) == 0 {
 			t.Fatal("no decisions recorded")
 		}
-		return len(recs[0].Features)
+		return recs
 	}
-	if fast, full := dims(false), dims(true); fast != full {
-		t.Fatalf("fast path records %d feature dims, full path %d", fast, full)
+	fast, full := records(false), records(true)
+	if len(fast) != len(full) {
+		t.Fatalf("fast path recorded %d decisions, full path %d", len(fast), len(full))
+	}
+	sameBits := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for i := range fast {
+		f, s := fast[i], full[i]
+		if !sameBits(f.Features, s.Features) {
+			t.Fatalf("record %d: feature vectors differ (%d vs %d dims)", i, len(f.Features), len(s.Features))
+		}
+		if !sameBits(f.Scores, s.Scores) {
+			t.Fatalf("record %d: root logits differ", i)
+		}
+		if f.QueryID != s.QueryID || f.Action != s.Action || f.ActionArg != s.ActionArg || f.Heuristic != s.Heuristic {
+			t.Fatalf("record %d: fast %+v vs full %+v", i, f, s)
+		}
 	}
 }

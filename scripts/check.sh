@@ -31,39 +31,6 @@ go test -race ./internal/engine/ ./internal/exec/ ./internal/metrics/ ./internal
 echo "== go test -race -run TestTrainRollouts ./internal/lsched/"
 go test -race -run TestTrainRollouts ./internal/lsched/
 
-echo "== policy store smoke (put/get/promote round trip)"
-go test -count=1 -run TestStorePutGetPromote ./internal/policystore/
-
-echo "== differential smoke (scalar vs vectorized kernels agree)"
-go test -count=1 -run 'TestDifferential|TestProbePrefersBuildHashChild' ./internal/engine/
-
-echo "== fusion/morsel race smoke (concurrent morsels inside one work order, fused select)"
-go test -race -count=1 -run 'TestLiveMorsels|TestDifferentialMorsels|TestDifferentialFusedSelect' ./internal/engine/
-
-echo "== dictionary encoding smoke (encode/decode round trip)"
-go test -count=1 -run 'TestDict' ./internal/storage/
-
-echo "== front door smoke (conservation + overload regression, short)"
-go test -count=1 -short -run 'TestConservationUnderChurn|TestOverloadRegression' ./internal/frontdoor/
-
-echo "== sharded front door race smoke (conservation churn, cross-shard fairness, work stealing at 8 procs)"
-go test -race -count=1 -run 'TestConservationUnderChurn|TestCrossShardFairness|TestWorkStealingConservation|TestShardRouting' ./internal/frontdoor/
-
-echo "== mutex-contention smoke (sharded submit path must not contend the single-loop global lock)"
-mutexdir=$(mktemp -d)
-go test -run=NONE -bench='BenchmarkFrontDoorSubmit/sharded' -benchtime=5000x -cpu 8 \
-  -mutexprofile "$mutexdir/mutex.out" -o "$mutexdir/frontdoor.test" ./internal/frontdoor/
-top=$(go tool pprof -top -nodecount=20 "$mutexdir/frontdoor.test" "$mutexdir/mutex.out")
-echo "$top" | sed -n '1,10p'
-if echo "$top" | grep -q 'singleCore'; then
-  echo "mutex smoke: singleCore lock shows up in sharded-arm contention profile" >&2
-  exit 1
-fi
-rm -rf "$mutexdir"
-
-echo "== drift-detector smoke (shifted feature stream trips the gauge, training stream stays quiet)"
-go test -count=1 -run 'TestDriftTripsOnShiftedStream|TestDriftQuietOnTrainingDistribution' ./internal/provenance/
-
 echo "== cluster smoke (2 real nodes + coordinator over TCP, 200 queries, zero lost)"
 smokedir=$(mktemp -d)
 cleanup_cluster() {
@@ -95,9 +62,7 @@ grep "cluster:" "$smokedir/coord.log"
 kill "$node0_pid" "$node1_pid" 2>/dev/null || true
 wait "$node0_pid" "$node1_pid" 2>/dev/null || true
 
-echo "== bench smoke (hot-path microbenchmarks compile and run once)"
-go test -run=NONE -bench=. -benchtime=1x -benchmem \
-  ./internal/nn/ ./internal/encoder/ ./internal/lsched/ ./internal/serving/ \
-  ./internal/engine/ ./internal/cluster/
+echo "== bench module (vet + test: an API break against bench/ fails here, not in the benchmark run)"
+(cd bench && go vet ./... && go test ./...)
 
 echo "OK"
