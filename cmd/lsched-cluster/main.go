@@ -1,25 +1,26 @@
 // Command lsched-cluster runs the coordinator: it fronts a fleet of
 // lsched-node workers with the admission front door, routes admitted
 // queries by a pluggable policy (least predicted load by default),
-// re-dispatches queued work off failed nodes, and — in central mode —
+// re-dispatches queued work off failed nodes, and — given -store —
 // watches a policystore and rolls promoted checkpoints out to every
-// node's serving slot.
+// node's serving slot (without it, nodes keep whatever policy they
+// started with or learn online, and the coordinator only routes).
 //
 // Usage:
 //
 //	lsched-cluster -nodes 127.0.0.1:7070,127.0.0.1:7071 -listen :8080
 //	lsched-cluster -nodes ... -policy round-robin -obs :9090
-//	lsched-cluster -nodes ... -mode central -store ./policies -sync 10s
+//	lsched-cluster -nodes ... -store ./policies -sync 10s
 //
-// Drive it with cmd/lsched-loadgen (-remote -targets http://host:8080).
+// Drive it with cmd/lsched-loadgen (-targets http://host:8080/query).
 // The /cluster endpoint on -obs shows per-node health, queue depths,
 // and serving policy versions.
 package main
 
 import (
+	"context"
 	"flag"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -28,9 +29,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/frontdoor"
-	"repro/internal/lsched"
+	"repro/internal/ingress"
 	"repro/internal/metrics"
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/policystore"
 	"repro/internal/rpcsched"
@@ -41,9 +41,8 @@ func main() {
 	listen := flag.String("listen", ":8080", "query ingress address (POST /query)")
 	obsAddr := flag.String("obs", "", "observability address (/cluster, /frontdoor, ...), e.g. :9090")
 	policyName := flag.String("policy", "least-loaded", "routing policy: least-loaded, round-robin, or tenant-hash")
-	mode := flag.String("mode", "central", "policy distribution: central (coordinator pushes store checkpoints) or independent (nodes keep their own policies)")
-	storeDir := flag.String("store", "", "policystore directory to watch in central mode")
-	syncEvery := flag.Duration("sync", 10*time.Second, "central-mode rollout sync interval")
+	storeDir := flag.String("store", "", "policystore directory to watch: promoted checkpoints roll out to every node (empty = no policy distribution)")
+	syncEvery := flag.Duration("sync", 10*time.Second, "rollout sync interval for -store")
 	controller := flag.String("controller", "learned", "admission controller: learned or heuristic")
 	slots := flag.Int("slots", 16, "max concurrently executing queries across the cluster")
 	shards := flag.Int("shards", 0, "admission shards, rounded up to a power of two (0 = GOMAXPROCS)")
@@ -95,103 +94,39 @@ func main() {
 	if err := coord.Start(); err != nil {
 		log.Fatal(err)
 	}
+	log.Printf("%s routing, %d queries per node", policy.Name(), *maxPerNode)
 
-	var stopWatch func()
-	switch *mode {
-	case "central":
-		if *storeDir != "" {
-			store, err := policystore.Open(*storeDir)
-			if err != nil {
-				log.Fatal(err)
-			}
-			stopWatch = coord.WatchPolicy(store, *syncEvery, func(err error) {
-				log.Printf("rollout: %v", err)
-			})
-			log.Printf("central rollout: watching %s every %v", *storeDir, *syncEvery)
+	stopWatch := func() {}
+	if *storeDir != "" {
+		store, err := policystore.Open(*storeDir)
+		if err != nil {
+			log.Fatal(err)
 		}
-	case "independent":
-		// Nodes keep whatever policy they were started with (or learn
-		// online); the coordinator only routes.
-		log.Printf("independent mode: no policy distribution")
-	default:
-		log.Fatalf("unknown mode %q", *mode)
+		stopWatch = coord.WatchPolicy(store, *syncEvery, func(err error) {
+			log.Printf("rollout: %v", err)
+		})
+		log.Printf("central rollout: watching %s every %v", *storeDir, *syncEvery)
 	}
 
-	var ctrl frontdoor.Controller
-	switch *controller {
-	case "learned":
-		ctrl = frontdoor.NewLearned(lsched.NewAdmissionHead(nn.NewParams(*seed)))
-	case "heuristic":
-		ctrl = frontdoor.NewHeuristic()
-	default:
-		log.Fatalf("unknown controller %q", *controller)
-	}
-	fd, err := frontdoor.New(frontdoor.Options{
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	err = ingress.Serve(ctx, *listen, *obsAddr, *controller, *seed, frontdoor.Options{
 		Backend:     coord,
-		Controller:  ctrl,
 		MaxInFlight: *slots,
 		Shards:      *shards,
 		QueueCap:    *queueCap,
 		Rate:        *rate,
 		Burst:       *burst,
 		Metrics:     reg,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	if *obsAddr != "" {
-		o := obs.NewServer(obs.Options{
-			Metrics:   reg,
-			FrontDoor: fd.Status,
-			Cluster:   func() any { return coord.Status() },
-			Health: func() obs.HealthStatus {
-				st := obs.HealthStatus{Ready: true, Engine: "cluster"}
-				if fd.Draining() {
-					st.Ready = false
-					st.Draining = true
-					st.Detail = "coordinator draining"
-				}
-				return st
-			},
-		})
-		addr, err := o.Start(*obsAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer o.Close()
-		log.Printf("observability on http://%s (/metrics /frontdoor /cluster /healthz)", addr)
-	}
-
-	mux := http.NewServeMux()
-	mux.Handle("/query", fd.Handler())
-	srv := &http.Server{Addr: *listen, Handler: mux}
-	go func() {
-		log.Printf("cluster front door on %s (%s routing, %s admission, %d slots)",
-			*listen, policy.Name(), ctrl.Name(), *slots)
-		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			log.Fatal(err)
-		}
-	}()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	log.Printf("draining (timeout %v)...", *drain)
-	if !fd.Shutdown(*drain) {
-		log.Printf("front door drain timed out")
-	}
-	if stopWatch != nil {
-		stopWatch()
-	}
+	}, obs.Options{Cluster: func() any { return coord.Status() }}, "", *drain)
+	stopWatch()
 	if !coord.Close(*drain) {
 		log.Printf("coordinator drain timed out")
 	}
-	srv.Close()
-	fst := fd.Stats()
 	cst := coord.Status()
-	lost := cst.Routed - cst.Completed - cst.Failed
-	log.Printf("final: submitted=%d admitted=%d shed=%d rejected=%d", fst.Submitted, fst.Admitted, fst.Shed, fst.Rejected)
 	log.Printf("cluster: routed=%d completed=%d failed=%d redispatched=%d lost=%d",
-		cst.Routed, cst.Completed, cst.Failed, cst.Redispatched, lost)
+		cst.Routed, cst.Completed, cst.Failed, cst.Redispatched, cst.Routed-cst.Completed-cst.Failed)
+	if err != nil {
+		log.Fatal(err)
+	}
 }

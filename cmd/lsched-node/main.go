@@ -16,7 +16,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"os"
@@ -31,24 +30,11 @@ import (
 	"repro/internal/lsched"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/provenance"
 	"repro/internal/rpcsched"
 	"repro/internal/serving"
 	"repro/internal/workload"
 )
-
-func benchPlans(bench string, sf float64) ([]*plan.Plan, error) {
-	switch bench {
-	case "tpch":
-		return workload.TPCH(sf), nil
-	case "ssb":
-		return workload.SSB(sf), nil
-	case "job":
-		return workload.JOB(), nil
-	}
-	return nil, fmt.Errorf("unknown benchmark %q", bench)
-}
 
 func main() {
 	listen := flag.String("listen", ":7070", "ClusterNode RPC address")
@@ -67,7 +53,7 @@ func main() {
 	if *id == "" {
 		*id = "node-" + *listen
 	}
-	plans, err := benchPlans(*bench, *sf)
+	plans, err := workload.Plans(workload.Benchmark(*bench), *sf)
 	if err != nil {
 		log.Fatal(err)
 	}

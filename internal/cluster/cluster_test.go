@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/rpc"
 	"sync"
 	"testing"
 	"time"
@@ -36,11 +37,15 @@ func testNode(t testing.TB, id string, backend frontdoor.Backend) *Node {
 	return n
 }
 
+// testQuery builds a query as a front door would hand it over: already
+// priced (the coordinator routes on the carried price and has no
+// estimator of its own), at the front door's cold prior of 10 ms/unit.
 func testQuery(tenant string, units int) *frontdoor.Query {
 	return &frontdoor.Query{
-		Tenant: tenant,
-		Class:  frontdoor.ClassThroughput,
-		Ops:    []costmodel.OpWork{{Key: 1, Units: units}},
+		Tenant:  tenant,
+		Class:   frontdoor.ClassThroughput,
+		Ops:     []costmodel.OpWork{{Key: 1, Units: units}},
+		PredDur: 0.01 * float64(units),
 	}
 }
 
@@ -174,6 +179,80 @@ func TestFrontDoorOverCluster(t *testing.T) {
 	}
 }
 
+// TestRoutingUsesFrontDoorPrice: a query admitted through a real front
+// door reaches Coordinator.Run carrying the door's price, and that
+// price alone steers load-aware routing — with occupancy tied, the
+// second light query avoids the node holding the heavy-priced one.
+func TestRoutingUsesFrontDoorPrice(t *testing.T) {
+	release := make(chan struct{})
+	gated := frontdoor.BackendFunc(func(*frontdoor.Query) (*frontdoor.Result, error) {
+		<-release
+		return nil, nil
+	})
+	lc, err := NewLocalCluster(Options{MaxPerNode: 4},
+		testNode(t, "node-0", gated), testNode(t, "node-1", gated))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A trained window, so the price is nobody's default prior.
+	est := costmodel.NewEstimator(8, 0.01, 1)
+	est.ObserveCompletion(1, 0.5, 1)
+	fd, err := frontdoor.New(frontdoor.Options{Backend: lc.Coord, MaxInFlight: 8, Estimator: est})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// submit admits one unpriced query and returns the cluster's state
+	// once the coordinator has dispatched it.
+	inFlight := 0
+	submit := func(units int) (*frontdoor.Query, *frontdoor.Ticket, Status) {
+		t.Helper()
+		q := &frontdoor.Query{Tenant: "t", Ops: []costmodel.OpWork{{Key: 1, Units: units}}}
+		tk, err := fd.Submit(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inFlight++
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			st := lc.Coord.Status()
+			if st.Nodes[0].InFlight+st.Nodes[1].InFlight == inFlight {
+				return q, tk, st
+			}
+		}
+		t.Fatalf("query %d never dispatched", inFlight)
+		return nil, nil, Status{}
+	}
+
+	heavy, hTk, st := submit(50)
+	want, _ := est.PredictTotals(heavy.Ops)
+	if heavy.PredDur != want || want <= 0 {
+		t.Fatalf("heavy query carries PredDur %v, front door estimator says %v", heavy.PredDur, want)
+	}
+	if st.Nodes[0].InFlight != 1 || st.Nodes[0].PredLoadSecs != want {
+		t.Fatalf("heavy query: node-0 %+v, want 1 in flight at the carried price %v", st.Nodes[0], want)
+	}
+	_, l1Tk, st := submit(1)
+	if st.Nodes[1].InFlight != 1 {
+		t.Fatalf("first light query: nodes %+v, want it on the idle node-1", st.Nodes)
+	}
+	// Occupancy is now tied at one each; only the price differs.
+	_, l2Tk, st := submit(1)
+	if st.Nodes[0].InFlight != 1 || st.Nodes[1].InFlight != 2 {
+		t.Fatalf("second light query: nodes %+v, want it steered away from the heavy-priced node-0", st.Nodes)
+	}
+	close(release)
+	for _, tk := range []*frontdoor.Ticket{hTk, l1Tk, l2Tk} {
+		if d := <-tk.Done(); d.Outcome != frontdoor.OutcomeAdmitted || d.Err != nil {
+			t.Fatalf("disposition %+v", d)
+		}
+	}
+	if !fd.Shutdown(5 * time.Second) {
+		t.Fatal("front door drain timed out")
+	}
+	if !lc.Close(time.Second) {
+		t.Fatal("coordinator drain timed out")
+	}
+}
+
 // TestDrainingNodeUnroutable: a node that starts draining refuses its
 // next query; the coordinator re-dispatches it and routes everything
 // after it to the survivors. No query is lost to the drain.
@@ -261,6 +340,17 @@ func TestRPCNodeEndToEnd(t *testing.T) {
 	}
 	if hr.ID != "tcp-node" || hr.Completed != n {
 		t.Fatalf("health reply %+v, want ID=tcp-node completed=%d", hr, n)
+	}
+	// The server's own scheduler service still answers next to the
+	// mounted one.
+	rc, err := rpc.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	var dec rpcsched.DecisionReply
+	if err := rc.Call("LSched.OnEvent", &rpcsched.EventRequest{}, &dec); err != nil {
+		t.Fatalf("scheduler RPC broken after node mount: %v", err)
 	}
 	st := coord.Status()
 	if st.Completed != n || st.Failed != 0 {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/costmodel"
 	"repro/internal/frontdoor"
 	"repro/internal/metrics"
 	"repro/internal/rpcsched"
@@ -24,13 +23,6 @@ var ErrShutdown = errors.New("cluster: coordinator shut down")
 type Options struct {
 	// Policy picks a node per query (default LeastLoaded).
 	Policy Policy
-	// Estimator prices each query's predicted O-DUR for load-aware
-	// routing; the coordinator trains it online from the per-operator
-	// durations nodes report back, so routing sharpens as the cluster
-	// runs. The coordinator owns it (all access is under its lock) —
-	// do not share one instance with a front door. Nil creates one
-	// with generic priors.
-	Estimator *costmodel.Estimator
 	// MaxPerNode bounds concurrently dispatched queries per node
 	// (default 8); excess queries queue at the coordinator, where a
 	// node failure can still re-dispatch them.
@@ -53,9 +45,6 @@ func (o *Options) withDefaults() Options {
 	if out.Policy == nil {
 		out.Policy = LeastLoaded{}
 	}
-	if out.Estimator == nil {
-		out.Estimator = costmodel.NewEstimator(32, 0.01, 1)
-	}
 	if out.MaxPerNode <= 0 {
 		out.MaxPerNode = 8
 	}
@@ -76,8 +65,9 @@ type submitOutcome struct {
 
 // ticket is one query moving through the router.
 type ticket struct {
-	req      frontdoor.Request
-	tenant   string
+	req frontdoor.Request
+	// predDur is the front door's price for the query (Query.PredDur),
+	// the unit of every member's predLoad.
 	predDur  float64
 	attempts int // routes consumed (first route = 1)
 	done     chan submitOutcome
@@ -183,28 +173,21 @@ func (c *Coordinator) Start() error {
 }
 
 // Run implements frontdoor.Backend: route the query to a node, wait
-// for its reply, re-dispatching across node failures.
+// for its reply, re-dispatching across node failures. Load-aware
+// routing weighs nodes by the price the query carries (q.PredDur, set
+// by the front door that admitted it and trained by the Results this
+// method returns to that door); the coordinator prices nothing itself.
 func (c *Coordinator) Run(q *frontdoor.Query) (*frontdoor.Result, error) {
 	t := &ticket{
-		req:    requestFromQuery(q),
-		tenant: q.Tenant,
-		done:   make(chan submitOutcome, 1),
+		req:     requestFromQuery(q),
+		predDur: q.PredDur,
+		done:    make(chan submitOutcome, 1),
 	}
-	t.predDur = c.predict(q.Ops)
 	if err := c.route(t); err != nil {
 		return nil, err
 	}
 	out := <-t.done
 	return out.res, out.err
-}
-
-// predict prices a query's total O-DUR under the coordinator's lock
-// (the estimator's windows are not safe for concurrent use).
-func (c *Coordinator) predict(ops []costmodel.OpWork) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dur, _ := c.opts.Estimator.PredictTotals(ops)
-	return dur
 }
 
 // requestFromQuery rebuilds the wire request for an already-admitted
@@ -251,7 +234,7 @@ func (c *Coordinator) route(t *ticket) error {
 		c.mu.Unlock()
 		return ErrNoNodes
 	}
-	pick := c.opts.Policy.Pick(views, t.tenant)
+	pick := c.opts.Policy.Pick(views, t.req.Tenant)
 	if pick < 0 || pick >= len(views) {
 		pick = 0
 	}
@@ -347,12 +330,6 @@ func (c *Coordinator) runOne(m *member, t *ticket) {
 		m.completed++
 		c.completed++
 		c.cCompleted.Inc()
-		// Close the loop: observed per-operator durations train the
-		// routing estimator, so predicted load tracks this cluster's
-		// actual hardware and data.
-		for k, d := range reply.OpDurations {
-			c.opts.Estimator.ObserveCompletion(k, d, reply.OpMemory[k])
-		}
 		c.mu.Unlock()
 		var res *frontdoor.Result
 		if len(reply.OpDurations) > 0 || len(reply.OpMemory) > 0 {

@@ -8,8 +8,8 @@ import (
 
 // NodeView is what a routing policy sees of one routable node: its
 // queue occupancy and the predicted O-DUR seconds of work already
-// routed to it (queued + executing), priced by the coordinator's cost
-// model.
+// routed to it (queued + executing), at the price each query carried in
+// from the front door (frontdoor.Query.PredDur).
 type NodeView struct {
 	// Index is the node's position in the coordinator's member list.
 	Index int

@@ -90,12 +90,10 @@ func (c *Coordinator) SyncPolicy(store *policystore.Store) error {
 }
 
 // WatchPolicy runs SyncPolicy every interval until the returned stop
-// function is called or the coordinator closes — the centralized
-// rollout mode's main loop. onErr (may be nil) receives each sync
-// error, including *PartialRolloutError for incomplete pushes. The
-// flag-selected alternative — independent-learner mode — is simply not
-// running this watcher: each node keeps whatever policy it learns or
-// loads locally.
+// function is called or the coordinator closes — central rollout's
+// main loop. onErr (may be nil) receives each sync error, including
+// *PartialRolloutError for incomplete pushes. Without a watcher each
+// node keeps whatever policy it learns or loads locally.
 func (c *Coordinator) WatchPolicy(store *policystore.Store, interval time.Duration, onErr func(error)) (stop func()) {
 	if interval <= 0 {
 		interval = time.Second

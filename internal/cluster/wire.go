@@ -29,8 +29,8 @@ type SubmitReply struct {
 	// Draining reports the node refused the query because it is
 	// draining; the coordinator re-dispatches elsewhere.
 	Draining bool
-	// OpDurations/OpMemory feed the coordinator-side cost model
-	// (frontdoor.Result shape).
+	// OpDurations/OpMemory travel back to the admitting front door,
+	// whose estimator they train (frontdoor.Result shape).
 	OpDurations map[int]float64
 	OpMemory    map[int]float64
 }

@@ -6,7 +6,9 @@ import (
 )
 
 // simInstruments caches the engine's instrument handles so the hot
-// paths (dispatch, completion) never touch the registry's lock. When
+// paths (dispatch, completion) never touch the registry's lock: a
+// simulator resolves them once per Sim, the live engine once per Live
+// (shared by all its runs — every handle is an atomic instrument). When
 // metrics are disabled every field is nil and each operation reduces to
 // one nil check — the zero-overhead fast path the benchmarks verify.
 type simInstruments struct {
@@ -33,13 +35,10 @@ type simInstruments struct {
 	opLatency [plan.NumOpTypes]*metrics.Histogram
 }
 
-// newSimInstruments registers the engine's instruments; with a nil
-// registry it returns all-nil (no-op) handles.
+// newSimInstruments registers the engine's instruments. Registry
+// lookups are nil-safe: a nil registry yields all-nil (no-op) handles.
 func newSimInstruments(reg *metrics.Registry) *simInstruments {
 	si := &simInstruments{}
-	if reg == nil {
-		return si
-	}
 	si.dispatched = reg.Counter("engine_workorders_dispatched")
 	si.completed = reg.Counter("engine_workorders_completed")
 	si.admitted = reg.Counter("engine_queries_admitted")
@@ -54,6 +53,47 @@ func newSimInstruments(reg *metrics.Registry) *simInstruments {
 		si.opLatency[t] = reg.Histogram("engine_wo_latency_"+plan.OpType(t).String(), nil)
 	}
 	return si
+}
+
+// kernelCounters counts work orders per execution kernel, so /metrics
+// shows where a live run's data touches went.
+type kernelCounters struct {
+	sel, build, probe, aggregate, sortk, passthrough, finalize *metrics.Counter
+}
+
+// liveInstruments caches the live executor's own handles, resolved in
+// NewLive and copied into every run.
+type liveInstruments struct {
+	// executed counts work orders from inside the worker goroutines; a
+	// lossless, race-safe instrumentation ends a run with this equal to
+	// LiveResult.WorkOrders.
+	executed      *metrics.Counter
+	wallLatency   [plan.NumOpTypes]*metrics.Histogram
+	kernels       kernelCounters
+	morselSplits  *metrics.Counter
+	morselHelpers *metrics.Counter
+}
+
+// newLiveInstruments registers the live executor's instruments.
+func newLiveInstruments(reg *metrics.Registry) liveInstruments {
+	li := liveInstruments{
+		executed: reg.Counter("live_workorders_executed"),
+		kernels: kernelCounters{
+			sel:         reg.Counter("live_kernel_wo_select"),
+			build:       reg.Counter("live_kernel_wo_build"),
+			probe:       reg.Counter("live_kernel_wo_probe"),
+			aggregate:   reg.Counter("live_kernel_wo_aggregate"),
+			sortk:       reg.Counter("live_kernel_wo_sort"),
+			passthrough: reg.Counter("live_kernel_wo_passthrough"),
+			finalize:    reg.Counter("live_kernel_wo_finalize"),
+		},
+		morselSplits:  reg.Counter("live_morsel_splits"),
+		morselHelpers: reg.Counter("live_morsel_helpers"),
+	}
+	for t := 0; t < plan.NumOpTypes; t++ {
+		li.wallLatency[t] = reg.Histogram("live_wo_wall_seconds_"+plan.OpType(t).String(), nil)
+	}
+	return li
 }
 
 // trace records one event on the configured tracer at the current

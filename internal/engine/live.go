@@ -59,9 +59,17 @@ type Live struct {
 	aggTables sync.Pool
 	// estimators recycles Reset cost estimators across Run calls, so
 	// the per-opKey windows (and their backing arrays) are allocated
-	// once, not per run. Each Run draws its own, keeping concurrent
-	// RunOne calls isolated.
+	// once, not per run (a reset estimator is observationally identical
+	// to a new one and keeps its instruments). Each Run draws its own,
+	// keeping concurrent RunOne calls isolated.
 	estimators sync.Pool
+	// schedMu is the lock behind the Scheduler contract, shared by every
+	// run's Sim. One per engine, not per scheduler: driving one Live with
+	// two schedulers at once merely over-serialises them.
+	schedMu sync.Mutex
+	// simInstr/instr are the metric handles every run shares.
+	simInstr *simInstruments
+	instr    liveInstruments
 	// opFree recycles per-query op-state slices (and the structs in
 	// them) across query completions.
 	opMu   sync.Mutex
@@ -126,11 +134,13 @@ func NewLive(catalog *storage.Catalog, cfg LiveConfig) *Live {
 		m = maxMorselParts
 	}
 	lv := &Live{
-		cfg:     cfg,
-		catalog: catalog,
-		pool:    exec.NewBlockPool(),
-		morsels: m,
-		fused:   make(map[fusedKey]*storage.Schema),
+		cfg:      cfg,
+		catalog:  catalog,
+		pool:     exec.NewBlockPool(),
+		morsels:  m,
+		fused:    make(map[fusedKey]*storage.Schema),
+		simInstr: newSimInstruments(cfg.Metrics),
+		instr:    newLiveInstruments(cfg.Metrics),
 	}
 	// Registry lookups are nil-safe: with metrics disabled these are
 	// nil instruments whose operations no-op.
@@ -197,12 +207,6 @@ type LiveResult struct {
 	OutputRows map[int]int
 }
 
-// kernelCounters counts work orders per execution kernel, so /metrics
-// shows where a live run's data touches went.
-type kernelCounters struct {
-	sel, build, probe, aggregate, sortk, passthrough, finalize *metrics.Counter
-}
-
 // Run executes the workload under the scheduler. It reuses the
 // simulator's state bookkeeping (QueryState, decisions, availability)
 // but with real block processing and wall-clock time.
@@ -224,7 +228,8 @@ func (lv *Live) Run(sched Scheduler, arrivals []Arrival) (*LiveResult, error) {
 			OpMemory:    make(map[plan.OpType]float64),
 			OutputRows:  make(map[int]int),
 		},
-		opCounts: make(map[plan.OpType]int),
+		opCounts:        make(map[plan.OpType]int),
+		liveInstruments: lv.instr,
 	}
 	if ls.scalar {
 		ls.morsels = 1
@@ -237,29 +242,12 @@ func (lv *Live) Run(sched Scheduler, arrivals []Arrival) (*LiveResult, error) {
 			ls.morselGate <- struct{}{}
 		}
 	}
-	reg := lv.cfg.Metrics
-	if reg != nil {
-		ls.executed = reg.Counter("live_workorders_executed")
-		for t := 0; t < plan.NumOpTypes; t++ {
-			ls.wallLatency[t] = reg.Histogram("live_wo_wall_seconds_"+plan.OpType(t).String(), nil)
-		}
-	}
-	// Registry lookups are nil-safe: with metrics disabled these are
-	// nil instruments whose operations no-op.
-	ls.kernels = kernelCounters{
-		sel:         reg.Counter("live_kernel_wo_select"),
-		build:       reg.Counter("live_kernel_wo_build"),
-		probe:       reg.Counter("live_kernel_wo_probe"),
-		aggregate:   reg.Counter("live_kernel_wo_aggregate"),
-		sortk:       reg.Counter("live_kernel_wo_sort"),
-		passthrough: reg.Counter("live_kernel_wo_passthrough"),
-		finalize:    reg.Counter("live_kernel_wo_finalize"),
-	}
-	ls.morselSplits = reg.Counter("live_morsel_splits")
-	ls.morselHelpers = reg.Counter("live_morsel_helpers")
 	est, _ := lv.estimators.Get().(*costmodel.Estimator)
-	cfg := SimConfig{Threads: lv.cfg.Threads, Seed: 1, Metrics: lv.cfg.Metrics, Trace: lv.cfg.Trace, Estimator: est}
-	sim := NewSim(cfg)
+	if est == nil {
+		est = newEstimator(lv.cfg.Metrics)
+	}
+	sim := newSim(SimConfig{Threads: lv.cfg.Threads, Seed: 1, Metrics: lv.cfg.Metrics, Trace: lv.cfg.Trace}, est, lv.simInstr)
+	sim.schedMu = &lv.schedMu
 	sim.executeHook = ls.execute
 	// The morsel driver reports achieved parallelism into the sim's
 	// estimator so O-DUR predictions stay in wall-clock units (see
@@ -300,10 +288,11 @@ func (lv *Live) Run(sched Scheduler, arrivals []Arrival) (*LiveResult, error) {
 
 // RunOne executes a single plan arriving immediately — the unit of work
 // a query front door dispatches per admitted request. The plan is
-// cloned first, so shared templates can be submitted concurrently; the
-// state Live carries across Run calls (block pool, scratch buffers,
-// fused-schema cache) is concurrency-safe, which is what makes
-// concurrent RunOne calls from independent executor workers safe.
+// cloned here — the one private copy a served query gets — so shared
+// templates can be submitted concurrently; the state Live carries
+// across Run calls (block pool, scratch buffers, fused-schema cache) is
+// concurrency-safe and scheduler calls are serialised, which is what
+// makes concurrent RunOne calls from independent executor workers safe.
 func (lv *Live) RunOne(sched Scheduler, p *plan.Plan) (*LiveResult, error) {
 	return lv.Run(sched, []Arrival{{Plan: p.Clone(), At: 0}})
 }
@@ -340,14 +329,9 @@ type liveRun struct {
 	opTotals  map[plan.OpType]float64
 	memTotals map[plan.OpType]float64
 	opCounts  map[plan.OpType]int
-	// executed counts work orders from inside the worker goroutines; a
-	// lossless, race-safe instrumentation ends a run with this equal to
-	// LiveResult.WorkOrders.
-	executed      *metrics.Counter
-	wallLatency   [plan.NumOpTypes]*metrics.Histogram
-	kernels       kernelCounters
-	morselSplits  *metrics.Counter
-	morselHelpers *metrics.Counter
+	// liveInstruments is the owning Live's handle set (all-nil in bare
+	// test constructions).
+	liveInstruments
 	// observer forwards query completions to the run's scheduler when
 	// it observes lifecycles (e.g. to join flight-recorder entries to
 	// outcomes); the live engine itself owns the sim's observer slot.
@@ -464,7 +448,9 @@ func (lr *liveRun) QueryCompleted(queryID int, arrival, completion float64) {
 	}
 	lr.putOpStates(sts)
 	if lr.observer != nil {
+		lr.live.schedMu.Lock()
 		lr.observer.QueryCompleted(queryID, arrival, completion)
+		lr.live.schedMu.Unlock()
 	}
 }
 

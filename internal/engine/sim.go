@@ -40,9 +40,6 @@ type SimConfig struct {
 	NoiseFrac float64
 	// Seed drives the duration noise deterministically.
 	Seed int64
-	// EstimatorWindow is the sliding-window size of the cost estimator
-	// feeding the O-DUR/O-MEM features.
-	EstimatorWindow int
 	// MeasureOverhead records wall-clock time spent inside the scheduler,
 	// for the Fig. 13 overhead experiment.
 	MeasureOverhead bool
@@ -59,12 +56,6 @@ type SimConfig struct {
 	// completion, query admit/finish, scheduler decisions, trigger
 	// firings, cost-model updates). Nil disables tracing at zero cost.
 	Trace *metrics.Tracer
-	// Estimator, when non-nil, is used instead of allocating a fresh
-	// one. The live engine passes Reset estimators recycled from prior
-	// runs (a reset estimator is observationally identical to a new
-	// one); callers handing one in must not share it across concurrent
-	// sims.
-	Estimator *costmodel.Estimator
 }
 
 // ThreadChange adjusts the pool size mid-run: Delta workers are added
@@ -200,24 +191,34 @@ type Sim struct {
 	chainBuf []int
 	// instr holds the cached metric handles (all-nil when disabled).
 	instr *simInstruments
+	// schedMu, when set (live runs), is held from OnEvent until its last
+	// decision is applied: the Scheduler contract.
+	schedMu *sync.Mutex
 }
 
 // NewSim builds a simulator for the given config.
 func NewSim(cfg SimConfig) *Sim {
+	return newSim(cfg, newEstimator(cfg.Metrics), newSimInstruments(cfg.Metrics))
+}
+
+// newEstimator builds one run's instrumented O-DUR/O-MEM estimator
+// (footnote 1's regression over the last 8 work orders per operator).
+func newEstimator(reg *metrics.Registry) *costmodel.Estimator {
+	est := costmodel.NewEstimator(8, 1, 1)
+	est.Instrument(reg)
+	return est
+}
+
+// newSim is NewSim over an estimator and instrument handles the caller
+// already holds (the live engine reuses both across its runs). The
+// estimator must not be shared across concurrent sims.
+func newSim(cfg SimConfig, est *costmodel.Estimator, instr *simInstruments) *Sim {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
 	cost := cfg.Cost
 	if cost == nil {
 		cost = DefaultCostModel()
-	}
-	window := cfg.EstimatorWindow
-	if window <= 0 {
-		window = 8
-	}
-	est := cfg.Estimator
-	if est == nil {
-		est = costmodel.NewEstimator(window, 1, 1)
 	}
 	s := &Sim{
 		cfg:  cfg,
@@ -228,13 +229,12 @@ func NewSim(cfg SimConfig) *Sim {
 		},
 		result:     SimResult{Durations: make(map[int]float64)},
 		runningWOs: make(map[int]int),
+		instr:      instr,
 	}
 	s.state.Threads = make([]ThreadInfo, cfg.Threads)
 	for i := range s.state.Threads {
 		s.state.Threads[i] = ThreadInfo{ID: i, LastQuery: -1}
 	}
-	s.instr = newSimInstruments(cfg.Metrics)
-	s.state.Estimator.Instrument(cfg.Metrics)
 	return s
 }
 
@@ -471,6 +471,9 @@ func (s *Sim) invoke(sched Scheduler, ev Event) {
 	s.instr.freeThreads.Set(float64(s.state.FreeThreads()))
 	s.instr.poolSize.Set(float64(len(s.state.Threads)))
 	s.trace(metrics.EvTrigger, ev.QueryID, ev.OpID, -1, 0, ev.Kind.String())
+	if s.schedMu != nil {
+		s.schedMu.Lock()
+	}
 	var decisions []Decision
 	if s.cfg.MeasureOverhead {
 		start := time.Now()
@@ -481,6 +484,9 @@ func (s *Sim) invoke(sched Scheduler, ev Event) {
 	}
 	for _, d := range decisions {
 		s.apply(d)
+	}
+	if s.schedMu != nil {
+		s.schedMu.Unlock()
 	}
 }
 

@@ -105,6 +105,12 @@ type Decision struct {
 // implements — LSched, Decima, SelfTune, and the heuristics. OnEvent is
 // called once per scheduling event with a read view of engine state and
 // returns the decisions to apply.
+//
+// The slice OnEvent returns is valid only until the next call (a
+// scheduler may return reused scratch); the engine applies it before
+// calling again and serialises calls — OnEvent and QueryObserver
+// callbacks alike — across its concurrent runs, so an implementation
+// needs no locking of its own and no wrapper has to add any.
 type Scheduler interface {
 	// Name identifies the policy in experiment output.
 	Name() string

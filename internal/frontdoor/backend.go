@@ -3,7 +3,6 @@ package frontdoor
 import (
 	"fmt"
 	"hash/fnv"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/plan"
@@ -22,10 +21,9 @@ func (f BackendFunc) Run(q *Query) (*Result, error) { return f(q) }
 // duration/memory means flow back as the Result that feeds the
 // admission cost model.
 //
-// Live itself is stateless across runs, so concurrent queries are
-// safe; the scheduler is not (the LSched agent reuses per-event
-// scratch), so scheduler calls are serialized with a mutex — the same
-// single-threaded-scheduler contract the paper's execution model has.
+// Concurrent queries are safe: Live shares only concurrency-safe state
+// across runs and serialises every call into the scheduler (the
+// engine.Scheduler contract), so sched is stored as given.
 type EngineBackend struct {
 	live  *engine.Live
 	sched engine.Scheduler
@@ -33,7 +31,7 @@ type EngineBackend struct {
 
 // NewEngineBackend wraps a live engine and scheduler.
 func NewEngineBackend(live *engine.Live, sched engine.Scheduler) *EngineBackend {
-	return &EngineBackend{live: live, sched: &lockedScheduler{inner: sched}}
+	return &EngineBackend{live: live, sched: sched}
 }
 
 // Run implements Backend.
@@ -67,10 +65,13 @@ func (b *EngineBackend) Run(q *Query) (*Result, error) {
 // what actually runs, on a single server and across the cluster's
 // nodes alike (every node holding the same plan set maps a routed
 // query to the same plan, whichever node it lands on).
+//
+// The selected plan is handed on as a shared template: the backend
+// makes the query's one private copy (Live.RunOne) and must not mutate
+// the payload itself.
 type PlanPool struct {
 	inner Backend
 	plans []*plan.Plan
-	mu    sync.Mutex
 }
 
 // NewPlanPool wraps a backend with the summary-to-plan mapping.
@@ -81,41 +82,13 @@ func NewPlanPool(inner Backend, plans []*plan.Plan) (*PlanPool, error) {
 	return &PlanPool{inner: inner, plans: plans}, nil
 }
 
-// Run implements Backend: hash the op summary, clone the selected
-// plan into the query payload, execute on the wrapped backend.
+// Run implements Backend: hash the op summary, put the selected
+// template in the query payload, execute on the wrapped backend.
 func (pp *PlanPool) Run(q *Query) (*Result, error) {
 	h := fnv.New64a()
 	for _, op := range q.Ops {
 		fmt.Fprintf(h, "%d:%d;", op.Key, op.Units)
 	}
-	pp.mu.Lock()
-	p := pp.plans[int(h.Sum64()%uint64(len(pp.plans)))].Clone()
-	pp.mu.Unlock()
-	q.Payload = p
+	q.Payload = pp.plans[int(h.Sum64()%uint64(len(pp.plans)))]
 	return pp.inner.Run(q)
-}
-
-// lockedScheduler serializes OnEvent across concurrent live runs.
-type lockedScheduler struct {
-	mu    sync.Mutex
-	inner engine.Scheduler
-}
-
-func (l *lockedScheduler) Name() string { return l.inner.Name() }
-
-func (l *lockedScheduler) OnEvent(st *engine.State, ev engine.Event) []engine.Decision {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inner.OnEvent(st, ev)
-}
-
-// QueryCompleted forwards lifecycle callbacks (outcome joins, online
-// checkpointing) to the wrapped scheduler under the same lock that
-// serializes OnEvent, since concurrent live runs complete concurrently.
-func (l *lockedScheduler) QueryCompleted(queryID int, arrival, completion float64) {
-	if o, ok := l.inner.(engine.QueryObserver); ok {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		o.QueryCompleted(queryID, arrival, completion)
-	}
 }

@@ -9,8 +9,8 @@ import (
 	"repro/internal/plan"
 )
 
-// Request is the front door's wire format (JSON over HTTP, gob over
-// RPC): tenant identity, SLO class, deadline, and a plan summary — one
+// Request is the front door's wire format (JSON over HTTP at the
+// ingress, gob inside cluster.SubmitRequest): tenant identity, SLO class, deadline, and a plan summary — one
 // OpSpec per operator, which is all admission pricing needs (a query
 // that has not started has no per-operator history; the cost model
 // prices it by operator type).

@@ -5,10 +5,8 @@
 // admission Controller — the heuristic tail-drop baseline or the
 // learned head on the LSched agent (fed by queue depth, in-flight
 // counts, and the cost model's whole-plan O-DUR/O-MEM predictions) —
-// for the admit / defer / shed decision. The HTTP (http.go) and RPC
-// (rpc.go) ingresses layer on top; the RPC ingress mounts on an
-// rpcsched.Server so it inherits the graceful-shutdown drain and
-// per-connection I/O deadlines.
+// for the admit / defer / shed decision. The HTTP ingress (http.go)
+// layers on top.
 //
 // The machinery behind the FrontDoor facade is the sharded core
 // (shard.go): tenants are hash-partitioned across power-of-two shards,
@@ -77,6 +75,13 @@ type Query struct {
 	// type, scaled by the optimizer's block estimate. DecodeRequest
 	// fills it; backends may also consume it directly.
 	Ops []costmodel.OpWork
+	// PredDur/PredMem are the cost model's whole-plan O-DUR/O-MEM
+	// totals for Ops. The front door prices a query once, before its
+	// first admission decision, and the price travels with it: the
+	// admission features and every backend behind the door (the
+	// cluster's load-aware routing) read these, not an estimator of
+	// their own. Without a front door they are whatever the caller set.
+	PredDur, PredMem float64
 	// Payload carries backend-specific execution state (the engine
 	// backend stores the *plan.Plan here).
 	Payload any
@@ -134,12 +139,11 @@ type Ticket struct {
 	enq   time.Time
 	state ticketState
 	feat  lsched.AdmissionFeatures // features at decision time (learning feedback)
-	// predDur/predMem cache the estimator's totals for this query: the
-	// prediction depends only on the query's ops, so re-decisions of a
-	// deferred ticket reuse it instead of re-walking the cost windows
+	// priced marks Query.PredDur/PredMem as filled for this submission:
+	// the prediction depends only on the query's ops, so re-decisions of
+	// a deferred ticket reuse it instead of re-walking the cost windows
 	// on every admission pass. Guarded by the owner shard's lock.
-	predDur, predMem float64
-	predDone         bool
+	priced bool
 	// provID keys this query's flight-recorder records: the front
 	// door's submission sequence number, unique across tenants and
 	// shards.
@@ -292,8 +296,7 @@ func ceilPow2(n int) int {
 }
 
 // FrontDoor is the admission-controlled query ingress. Build with New,
-// submit with Submit (or via the HTTP/RPC ingresses), stop with
-// Shutdown.
+// submit with Submit (or via the HTTP ingress), stop with Shutdown.
 type FrontDoor struct {
 	opts Options
 	ins  *instruments
@@ -380,11 +383,11 @@ type loadSnapshot struct {
 // view. The caller holds the lock guarding tn.
 func fillFeatures(f *lsched.AdmissionFeatures, o *Options, tn *tenant, t *Ticket, now time.Time, v loadSnapshot) {
 	q := t.Query
-	if !t.predDone {
-		t.predDur, t.predMem = o.Estimator.PredictTotals(q.Ops)
-		t.predDone = true
+	if !t.priced {
+		q.PredDur, q.PredMem = o.Estimator.PredictTotals(q.Ops)
+		t.priced = true
 	}
-	dur, mem := t.predDur, t.predMem
+	dur, mem := q.PredDur, q.PredMem
 	// Predicted wait: how long until this query would actually start,
 	// with every slot busy and the queue ahead of it to drain first.
 	wait := 0.0

@@ -7,8 +7,7 @@ import (
 	"time"
 )
 
-// Response is the HTTP ingress's JSON reply (and the RPC ingress's
-// reply body).
+// Response is the HTTP ingress's JSON reply.
 type Response struct {
 	Outcome string  `json:"outcome"`
 	Reason  string  `json:"reason,omitempty"`

@@ -3,17 +3,13 @@ package frontdoor
 import (
 	"context"
 	"encoding/json"
-	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/rpc"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/heuristics"
 	"repro/internal/obs"
-	"repro/internal/rpcsched"
 )
 
 const validBody = `{"tenant":"acme","class":"latency","deadline_ms":5000,"ops":[{"type":0,"blocks":2}]}`
@@ -96,54 +92,6 @@ func TestHTTPClientDisconnectCancelsQueued(t *testing.T) {
 			t.Fatalf("abandoned query still queued: %+v", st)
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestRPCIngress mounts the front door on an rpcsched server and
-// drives both services over one connection: the scheduler RPC and the
-// front-door Submit share the transport, deadlines, and drain
-// machinery.
-func TestRPCIngress(t *testing.T) {
-	fd := mustFD(t, Options{Backend: &fakeBackend{delay: time.Millisecond}, MaxInFlight: 2})
-	srv, err := rpcsched.NewServer(heuristics.Fair{}, rpcsched.ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Mount(srv, fd); err != nil {
-		t.Fatal(err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("no loopback networking: %v", err)
-	}
-	go srv.Serve(lis) //nolint:errcheck
-	t.Cleanup(func() { srv.Close() })
-
-	rc, err := rpc.Dial("tcp", lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-
-	var reply Response
-	req := &Request{Tenant: "acme", Class: "latency", DeadlineMS: 5000, Ops: []OpSpec{{Type: 0, Blocks: 2}}}
-	if err := rc.Call("FrontDoor.Submit", req, &reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply.Outcome != "admitted" {
-		t.Fatalf("reply %+v", reply)
-	}
-
-	// Invalid requests surface as RPC errors, not panics or hangs.
-	bad := &Request{Tenant: "", Ops: []OpSpec{{Type: 0}}}
-	if err := rc.Call("FrontDoor.Submit", bad, &reply); err == nil {
-		t.Fatal("invalid request did not error")
-	}
-
-	// The scheduler service still answers on the same connection.
-	var dec rpcsched.DecisionReply
-	if err := rc.Call("LSched.OnEvent", &rpcsched.EventRequest{}, &dec); err != nil {
-		t.Fatalf("scheduler RPC broken after front-door mount: %v", err)
 	}
 }
 

@@ -96,7 +96,7 @@ func NewServer(sched engine.Scheduler, opts ServerOptions) (*Server, error) {
 }
 
 // RegisterName exposes an additional RPC receiver on the server, letting
-// higher layers (the query front door) answer on the same connections
+// higher layers (a cluster node) answer on the same connections
 // and inherit the graceful-shutdown drain and per-connection I/O
 // deadlines. Calls to the extra service are tracked by the same
 // in-flight counter as scheduler calls.
@@ -368,9 +368,9 @@ func DialRetry(network, address string, opts RetryOptions) (*Client, error) {
 }
 
 // Call invokes an arbitrary service method on the connection — the
-// scheduler server multiplexes extra receivers (the front door, cluster
-// nodes) onto the same connections via RegisterName, and this is the
-// client half of that arrangement.
+// scheduler server multiplexes extra receivers (cluster nodes) onto the
+// same connections via RegisterName, and this is the client half of
+// that arrangement.
 func (c *Client) Call(serviceMethod string, args, reply any) error {
 	return c.rpc.Call(serviceMethod, args, reply)
 }

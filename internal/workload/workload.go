@@ -18,6 +18,21 @@ const (
 	BenchJOB  Benchmark = "job"
 )
 
+// Plans returns one benchmark's query plans at a single scale factor
+// (ignored for JOB, which has none) — the plan set a serving binary
+// backs its synthetic catalog with.
+func Plans(b Benchmark, sf float64) ([]*plan.Plan, error) {
+	switch b {
+	case BenchTPCH:
+		return TPCH(sf), nil
+	case BenchSSB:
+		return SSB(sf), nil
+	case BenchJOB:
+		return JOB(), nil
+	}
+	return nil, fmt.Errorf("workload: unknown benchmark %q", b)
+}
+
 // Pool is a set of query plans a workload samples from, already split
 // into train and test halves as §7.1 describes: per scale factor, 50% of
 // the benchmark's queries are selected (without replacement) for

@@ -131,6 +131,14 @@ func TestUnknownBenchmark(t *testing.T) {
 	if _, err := NewPool(Benchmark("mysql"), 1); err == nil {
 		t.Fatal("unknown benchmark must error")
 	}
+	if _, err := Plans(Benchmark("mysql"), 1); err == nil {
+		t.Fatal("Plans: unknown benchmark must error")
+	}
+	for b, n := range map[Benchmark]int{BenchTPCH: 22, BenchSSB: 13, BenchJOB: NumJOBQueries()} {
+		if ps, err := Plans(b, 0.1); err != nil || len(ps) != n {
+			t.Fatalf("Plans(%s): %d plans, err %v, want %d", b, len(ps), err, n)
+		}
+	}
 }
 
 func TestStreamingArrivalGaps(t *testing.T) {

@@ -23,10 +23,10 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race ./internal/engine/ ./internal/exec/ ./internal/metrics/ ./internal/obs/ ./internal/policystore/ ./internal/serving/ ./internal/rpcsched/ ./internal/frontdoor/ ./internal/provenance/ ./internal/cluster/"
+echo "== go test -race ./internal/engine/ ./internal/exec/ ./internal/metrics/ ./internal/obs/ ./internal/policystore/ ./internal/serving/ ./internal/rpcsched/ ./internal/frontdoor/ ./internal/ingress/ ./internal/provenance/ ./internal/cluster/"
 go test -race ./internal/engine/ ./internal/exec/ ./internal/metrics/ ./internal/obs/ \
   ./internal/policystore/ ./internal/serving/ ./internal/rpcsched/ ./internal/frontdoor/ \
-  ./internal/provenance/ ./internal/cluster/
+  ./internal/ingress/ ./internal/provenance/ ./internal/cluster/
 
 echo "== go test -race -run TestTrainRollouts ./internal/lsched/"
 go test -race -run TestTrainRollouts ./internal/lsched/
@@ -59,10 +59,24 @@ if ! grep -q "lost=0" "$smokedir/coord.log"; then
   exit 1
 fi
 grep "cluster:" "$smokedir/coord.log"
+# The coordinator's ingress is ingress.Serve, the same assembly
+# lsched-frontdoor runs: its flight recorder must have seen every
+# admission verdict and joined each to an outcome.
+prov=$(sed -n 's/.*provenance: \([0-9]*\) decisions recorded, \([0-9]*\) joined.*/\1 \2/p' "$smokedir/coord.log")
+read -r recorded joined <<<"$prov"
+if [ "${recorded:-0}" -le 0 ] || [ "$recorded" != "${joined:-}" ]; then
+  echo "cluster smoke: coordinator provenance recorded=${recorded:-none} joined=${joined:-none}, want equal and > 0" >&2
+  cat "$smokedir/coord.log" >&2
+  exit 1
+fi
+grep "provenance:" "$smokedir/coord.log"
 kill "$node0_pid" "$node1_pid" 2>/dev/null || true
 wait "$node0_pid" "$node1_pid" 2>/dev/null || true
 
 echo "== bench module (vet + test: an API break against bench/ fails here, not in the benchmark run)"
 (cd bench && go vet ./... && go test ./...)
+
+echo "== non-test Go outside bench/ (the line count simplicity PRs quote in CHANGES.md)"
+find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 echo "OK"
