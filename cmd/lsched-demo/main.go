@@ -19,10 +19,12 @@ import (
 	"os"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/heuristics"
+	"repro/internal/lsched"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // tracer wraps a scheduler and logs its decisions.
@@ -69,14 +71,14 @@ func main() {
 		log.Fatalf("unknown metrics format %q (json or text)", *metricsFormat)
 	}
 
-	pool, err := core.NewPool(core.Benchmark(*bench), *seed)
+	pool, err := workload.NewPool(workload.Benchmark(*bench), *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
 	var sched engine.Scheduler
 	switch *schedName {
 	case "lsched":
-		agent := core.NewAgent(core.DefaultAgentOptions(*seed))
+		agent := lsched.New(lsched.DefaultOptions(*seed))
 		if *model != "" {
 			data, err := os.ReadFile(*model)
 			if err != nil {
@@ -89,24 +91,24 @@ func main() {
 		agent.SetGreedy(true)
 		sched = agent
 	case "fifo":
-		sched = core.FIFO{}
+		sched = heuristics.FIFO{}
 	case "fair":
-		sched = core.Fair{}
+		sched = heuristics.Fair{}
 	case "quickstep":
-		sched = core.Quickstep{}
+		sched = heuristics.Quickstep{}
 	case "criticalpath":
-		sched = core.CriticalPath{}
+		sched = heuristics.CriticalPath{}
 	default:
 		log.Fatalf("unknown scheduler %q", *schedName)
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
-	arrivals := core.Streaming(pool.Test, *queries, 0.5, rng)
-	simCfg := core.SimConfig{Threads: *threads, Seed: *seed, NoiseFrac: 0.1}
+	arrivals := workload.Streaming(pool.Test, *queries, 0.5, rng)
+	simCfg := engine.SimConfig{Threads: *threads, Seed: *seed, NoiseFrac: 0.1}
 	if *withMetrics || *listen != "" || *traceOut != "" {
 		simCfg.Metrics = metrics.NewRegistry()
 		simCfg.Trace = metrics.NewTracer(0)
-		if agent, ok := sched.(*core.Agent); ok {
+		if agent, ok := sched.(*lsched.Agent); ok {
 			agent.Instrument(simCfg.Metrics)
 		}
 	}
@@ -120,7 +122,7 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "observability: serving http://%s/ (metrics, trace, queries, timeseries, pprof)\n", addr)
 	}
-	sim := core.NewSim(simCfg)
+	sim := engine.NewSim(simCfg)
 	tr := &tracer{inner: sched}
 	res, err := sim.Run(tr, arrivals)
 	if err != nil {

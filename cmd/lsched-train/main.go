@@ -19,13 +19,14 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/decima"
+	"repro/internal/engine"
 	"repro/internal/lsched"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/policystore"
 	"repro/internal/serving"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -48,7 +49,7 @@ func main() {
 		log.Fatal("-out is required")
 	}
 
-	pool, err := core.NewPool(core.Benchmark(*bench), *seed)
+	pool, err := workload.NewPool(workload.Benchmark(*bench), *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,18 +61,18 @@ func main() {
 		}
 	}
 
-	var agent *core.Agent
+	var agent *lsched.Agent
 	if *baseline {
 		agent = decima.New(*seed)
 	} else {
-		agent = core.NewAgent(core.DefaultAgentOptions(*seed))
+		agent = lsched.New(lsched.DefaultOptions(*seed))
 	}
 	if *transferFrom != "" {
 		data, err := os.ReadFile(*transferFrom)
 		if err != nil {
 			log.Fatal(err)
 		}
-		src := core.NewAgent(core.DefaultAgentOptions(*seed))
+		src := lsched.New(lsched.DefaultOptions(*seed))
 		if err := src.Restore(data); err != nil {
 			log.Fatal(err)
 		}
@@ -81,13 +82,13 @@ func main() {
 		fmt.Println("transfer-initialized; inner layers frozen")
 	}
 
-	cfg := core.DefaultTrainConfig(*seed)
+	cfg := lsched.DefaultTrainConfig(*seed)
 	if *baseline {
 		cfg = decima.TrainConfig(cfg)
 	}
 	cfg.Episodes = *episodes
 	cfg.Rollouts = *rollouts
-	cfg.SimCfg = core.SimConfig{Threads: *threads, NoiseFrac: 0.15}
+	cfg.SimCfg = engine.SimConfig{Threads: *threads, NoiseFrac: 0.15}
 	var reg *metrics.Registry
 	var tr *metrics.Tracer
 	if *listen != "" || *traceOut != "" {
@@ -111,12 +112,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "observability: serving http://%s/ (metrics, trace, queries, timeseries, pprof)\n", addr)
 	}
 	nq := *queries
-	cfg.Workload = func(ep int, rng *rand.Rand) []core.Arrival {
+	cfg.Workload = func(ep int, rng *rand.Rand) []engine.Arrival {
 		n := nq/2 + rng.Intn(nq)
 		if ep%4 == 3 {
-			return core.Batch(pool.Train, n, rng)
+			return workload.Batch(pool.Train, n, rng)
 		}
-		return core.Streaming(pool.Train, n, 0.2+rng.Float64()*2, rng)
+		return workload.Streaming(pool.Train, n, 0.2+rng.Float64()*2, rng)
 	}
 	start := time.Now()
 	trainSummary := fmt.Sprintf("bench=%s episodes=%d queries=%d threads=%d seed=%d rollouts=%d decima=%v transfer=%q",

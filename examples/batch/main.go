@@ -9,7 +9,10 @@ import (
 	"log"
 	"math/rand"
 
-	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/heuristics"
+	"repro/internal/lsched"
+	"repro/internal/workload"
 )
 
 const (
@@ -19,29 +22,29 @@ const (
 )
 
 func main() {
-	pool, err := core.NewPool(core.BenchSSB, seed)
+	pool, err := workload.NewPool(workload.BenchSSB, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("SSB pool: %d training plans, %d test plans\n", len(pool.Train), len(pool.Test))
 
-	agent := core.NewAgent(core.DefaultAgentOptions(seed))
-	cfg := core.DefaultTrainConfig(seed)
+	agent := lsched.New(lsched.DefaultOptions(seed))
+	cfg := lsched.DefaultTrainConfig(seed)
 	cfg.Episodes = 80
-	cfg.SimCfg = core.SimConfig{Threads: threads, NoiseFrac: 0.1}
-	cfg.Workload = func(ep int, rng *rand.Rand) []core.Arrival {
-		return core.Batch(pool.Train, 10, rng)
+	cfg.SimCfg = engine.SimConfig{Threads: threads, NoiseFrac: 0.1}
+	cfg.Workload = func(ep int, rng *rand.Rand) []engine.Arrival {
+		return workload.Batch(pool.Train, 10, rng)
 	}
 	fmt.Println("training LSched on batch episodes...")
-	if _, err := core.Train(agent, cfg); err != nil {
+	if _, err := lsched.Train(agent, cfg); err != nil {
 		log.Fatal(err)
 	}
 	agent.SetGreedy(true)
 
-	for _, s := range []core.Scheduler{agent, core.Quickstep{}, core.Fair{}, core.FIFO{}} {
+	for _, s := range []engine.Scheduler{agent, heuristics.Quickstep{}, heuristics.Fair{}, heuristics.FIFO{}} {
 		rng := rand.New(rand.NewSource(seed))
-		arrivals := core.Batch(pool.Test, queries, rng)
-		sim := core.NewSim(core.SimConfig{Threads: threads, Seed: seed, NoiseFrac: 0.1})
+		arrivals := workload.Batch(pool.Test, queries, rng)
+		sim := engine.NewSim(engine.SimConfig{Threads: threads, Seed: seed, NoiseFrac: 0.1})
 		res, err := sim.Run(s, arrivals)
 		if err != nil {
 			log.Fatal(err)

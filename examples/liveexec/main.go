@@ -9,8 +9,8 @@ import (
 	"log"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/heuristics"
 	"repro/internal/workload"
 )
 
@@ -18,7 +18,7 @@ func main() {
 	const seed = 5
 
 	// SSB plans at a tiny scale factor keep live execution quick.
-	plans := core.SSB(0.1)
+	plans := workload.SSB(0.1)
 	catalog, err := workload.SyntheticCatalog(plans, 2048, 8, seed)
 	if err != nil {
 		log.Fatal(err)
@@ -26,17 +26,17 @@ func main() {
 	fmt.Printf("synthetic catalog: %d relations (%v ...)\n", catalog.Len(), catalog.Names()[:3])
 
 	rng := rand.New(rand.NewSource(seed))
-	var arrivals []core.Arrival
+	var arrivals []engine.Arrival
 	for i := 0; i < 8; i++ {
-		arrivals = append(arrivals, core.Arrival{Plan: plans[rng.Intn(len(plans))].Clone(), At: float64(i) * 0.001})
+		arrivals = append(arrivals, engine.Arrival{Plan: plans[rng.Intn(len(plans))].Clone(), At: float64(i) * 0.001})
 	}
 
-	for _, s := range []core.Scheduler{core.Quickstep{}, core.Fair{}} {
-		live := core.NewLive(catalog, core.LiveConfig{Threads: 4, TimeScale: 1})
+	for _, s := range []engine.Scheduler{heuristics.Quickstep{}, heuristics.Fair{}} {
+		live := engine.NewLive(catalog, engine.LiveConfig{Threads: 4, TimeScale: 1})
 		if err := live.Validate(plans); err != nil {
 			log.Fatal(err)
 		}
-		res, err := live.Run(s, cloneAll(arrivals))
+		res, err := live.Run(s, engine.CloneArrivals(arrivals))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -49,12 +49,4 @@ func main() {
 			fmt.Printf("    %-18v %.6fs\n", op, d)
 		}
 	}
-}
-
-func cloneAll(in []core.Arrival) []engine.Arrival {
-	out := make([]engine.Arrival, len(in))
-	for i, a := range in {
-		out[i] = engine.Arrival{Plan: a.Plan.Clone(), At: a.At}
-	}
-	return out
 }

@@ -10,7 +10,12 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/core"
+	"repro/internal/decima"
+	"repro/internal/engine"
+	"repro/internal/heuristics"
+	"repro/internal/lsched"
+	"repro/internal/selftune"
+	"repro/internal/workload"
 )
 
 const (
@@ -21,47 +26,47 @@ const (
 )
 
 func main() {
-	pool, err := core.NewPool(core.BenchTPCH, seed)
+	pool, err := workload.NewPool(workload.BenchTPCH, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	trainCfg := func(s int64) core.TrainConfig {
-		cfg := core.DefaultTrainConfig(s)
+	trainCfg := func(s int64) lsched.TrainConfig {
+		cfg := lsched.DefaultTrainConfig(s)
 		cfg.Episodes = 80
-		cfg.SimCfg = core.SimConfig{Threads: threads, NoiseFrac: 0.1}
-		cfg.Workload = func(ep int, rng *rand.Rand) []core.Arrival {
-			return core.Streaming(pool.Train, 10, rate, rng)
+		cfg.SimCfg = engine.SimConfig{Threads: threads, NoiseFrac: 0.1}
+		cfg.Workload = func(ep int, rng *rand.Rand) []engine.Arrival {
+			return workload.Streaming(pool.Train, 10, rate, rng)
 		}
 		return cfg
 	}
 
 	fmt.Println("training LSched...")
-	lsched := core.NewAgent(core.DefaultAgentOptions(seed))
-	if _, err := core.Train(lsched, trainCfg(seed)); err != nil {
+	agent := lsched.New(lsched.DefaultOptions(seed))
+	if _, err := lsched.Train(agent, trainCfg(seed)); err != nil {
 		log.Fatal(err)
 	}
-	lsched.SetGreedy(true)
+	agent.SetGreedy(true)
 
 	fmt.Println("training Decima baseline...")
-	dec := core.NewDecima(seed)
-	if _, err := core.Train(dec, core.DecimaTrainConfig(trainCfg(seed))); err != nil {
+	dec := decima.New(seed)
+	if _, err := lsched.Train(dec, decima.TrainConfig(trainCfg(seed))); err != nil {
 		log.Fatal(err)
 	}
 	dec.SetGreedy(true)
 
 	fmt.Println("tuning SelfTune...")
 	rng := rand.New(rand.NewSource(seed))
-	st, _, err := core.TuneSelfTune(tuneConfig(pool, rng))
+	st, _, err := selftune.Tune(tuneConfig(pool, rng))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("\n%-10s %8s %8s %8s %8s\n", "scheduler", "mean", "p50", "p90", "max")
-	for _, s := range []core.Scheduler{lsched, dec, core.Quickstep{}, st, core.Fair{}} {
+	for _, s := range []engine.Scheduler{agent, dec, heuristics.Quickstep{}, st, heuristics.Fair{}} {
 		r := rand.New(rand.NewSource(seed))
-		arrivals := core.Streaming(pool.Test, queries, rate, r)
-		sim := core.NewSim(core.SimConfig{Threads: threads, Seed: seed, NoiseFrac: 0.1})
+		arrivals := workload.Streaming(pool.Test, queries, rate, r)
+		sim := engine.NewSim(engine.SimConfig{Threads: threads, Seed: seed, NoiseFrac: 0.1})
 		res, err := sim.Run(s, arrivals)
 		if err != nil {
 			log.Fatal(err)
@@ -76,14 +81,14 @@ func main() {
 	}
 }
 
-func tuneConfig(pool *core.Pool, rng *rand.Rand) core.SelfTuneConfig {
-	var ws [][]core.Arrival
+func tuneConfig(pool *workload.Pool, rng *rand.Rand) selftune.TuneConfig {
+	var ws [][]engine.Arrival
 	for i := 0; i < 2; i++ {
-		ws = append(ws, core.Streaming(pool.Train, 10, rate, rng))
+		ws = append(ws, workload.Streaming(pool.Train, 10, rate, rng))
 	}
-	return core.SelfTuneConfig{
+	return selftune.TuneConfig{
 		Rounds: 10, Restarts: 2, Seed: seed,
-		SimCfg:    core.SimConfig{Threads: threads, NoiseFrac: 0.1},
+		SimCfg:    engine.SimConfig{Threads: threads, NoiseFrac: 0.1},
 		Workloads: ws,
 	}
 }

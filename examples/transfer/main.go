@@ -10,7 +10,9 @@ import (
 	"log"
 	"math/rand"
 
-	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/lsched"
+	"repro/internal/workload"
 )
 
 const (
@@ -20,27 +22,27 @@ const (
 )
 
 func main() {
-	tpch, err := core.NewPool(core.BenchTPCH, seed)
+	tpch, err := workload.NewPool(workload.BenchTPCH, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ssb, err := core.NewPool(core.BenchSSB, seed)
+	ssb, err := workload.NewPool(workload.BenchSSB, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	trainOn := func(agent *core.Agent, pool *core.Pool, label string) []float64 {
+	trainOn := func(agent *lsched.Agent, pool *workload.Pool, label string) []float64 {
 		var curve []float64
-		cfg := core.DefaultTrainConfig(seed)
+		cfg := lsched.DefaultTrainConfig(seed)
 		cfg.Episodes = episodes
-		cfg.SimCfg = core.SimConfig{Threads: threads, NoiseFrac: 0.1}
-		cfg.Workload = func(ep int, rng *rand.Rand) []core.Arrival {
-			return core.Streaming(pool.Train, 8, 0.5, rng)
+		cfg.SimCfg = engine.SimConfig{Threads: threads, NoiseFrac: 0.1}
+		cfg.Workload = func(ep int, rng *rand.Rand) []engine.Arrival {
+			return workload.Streaming(pool.Train, 8, 0.5, rng)
 		}
 		cfg.OnEpisode = func(ep int, avgReward, _ float64) {
 			curve = append(curve, avgReward)
 		}
-		if _, err := core.Train(agent, cfg); err != nil {
+		if _, err := lsched.Train(agent, cfg); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s: trained %d episodes\n", label, episodes)
@@ -48,14 +50,14 @@ func main() {
 	}
 
 	// 1. Source model on TPC-H.
-	src := core.NewAgent(core.DefaultAgentOptions(seed))
+	src := lsched.New(lsched.DefaultOptions(seed))
 	trainOn(src, tpch, "source (TPCH)")
 
 	// 2. SSB from scratch vs transferred from the TPC-H model.
-	scratch := core.NewAgent(core.DefaultAgentOptions(seed + 1))
+	scratch := lsched.New(lsched.DefaultOptions(seed + 1))
 	scratchCurve := trainOn(scratch, ssb, "SSB from scratch")
 
-	transferred := core.NewAgent(core.DefaultAgentOptions(seed + 2))
+	transferred := lsched.New(lsched.DefaultOptions(seed + 2))
 	if err := transferred.TransferFrom(src); err != nil {
 		log.Fatal(err)
 	}

@@ -23,6 +23,8 @@ func TestDecimaConfiguration(t *testing.T) {
 	}
 }
 
+// TestDecimaNeverPipelines runs Decima over a streaming workload: every
+// query must complete, and no decision may pipeline.
 func TestDecimaNeverPipelines(t *testing.T) {
 	pool, err := workload.NewPool(workload.BenchSSB, 2)
 	if err != nil {
@@ -32,8 +34,12 @@ func TestDecimaNeverPipelines(t *testing.T) {
 	spy := &pipelineSpy{inner: d}
 	rng := rand.New(rand.NewSource(2))
 	sim := engine.NewSim(engine.SimConfig{Threads: 6, Seed: 2})
-	if _, err := sim.Run(spy, workload.Streaming(pool.Train, 6, 0.5, rng)); err != nil {
+	res, err := sim.Run(spy, workload.Streaming(pool.Train, 6, 0.5, rng))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(res.Durations) != 6 {
+		t.Fatalf("Decima completed %d of 6 queries", len(res.Durations))
 	}
 	if spy.decisions == 0 {
 		t.Fatal("no decisions observed")

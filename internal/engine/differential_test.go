@@ -5,44 +5,107 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/storage"
 )
 
-// Differential tests: the retained scalar path and the vectorized
-// kernel path must produce identical result blocks for every operator,
-// across all three column types and every predicate kind. Select,
-// probe, and sort compare exact row order (both paths are
+// Differential tests: the exec-kernel runners and the per-row reference
+// (live_ref_test.go) must produce identical result blocks for every
+// operator, across all three column types and every predicate kind.
+// Select, probe, and sort compare exact row order (both paths are
 // order-preserving; sort breaks key ties by row index on both paths);
 // aggregate+finalize compares the group map, since finalize emits
-// groups in state-iteration order.
+// groups in table-iteration order.
 
-// newDiffRun builds a bare liveRun on the given path with states wired
-// for one query over plan p.
-func newDiffRun(scalar bool, p *plan.Plan) (*liveRun, []*liveOpState) {
-	lr := &liveRun{
-		scalar: scalar,
-		pool:   exec.NewBlockPool(),
-		states: make(map[int][]*liveOpState),
-	}
-	sts := make([]*liveOpState, len(p.Ops))
-	for i := range sts {
-		sts[i] = &liveOpState{}
-	}
-	lr.states[0] = sts
-	return lr, sts
+// testRun builds a run of lv through the engine's own constructor, with
+// op states wired for query 0 over p.
+func testRun(lv *Live, p *plan.Plan) (*liveRun, *QueryState) {
+	lr := lv.newRun()
+	q := newQueryState(0, p, 0)
+	lr.states[q.ID] = lr.getOpStates(len(p.Ops))
+	return lr, q
 }
+
+// runBlock runs one work order of op over in on lr's runners: the exec
+// kernels, or the reference when lr's Live has one installed.
+func runBlock(lr *liveRun, q *QueryState, op *plan.Operator, in *storage.Block) int {
+	runners := &kernelRunners
+	if lr.live.reference != nil {
+		runners = lr.live.reference
+	}
+	return runners[kernelOf(op.Type)](lr, q, op, lr.opState(q.ID, op.ID), in)
+}
+
+// lastOut returns op's most recent output block in a testRun.
+func lastOut(lr *liveRun, op *plan.Operator) *storage.Block {
+	st := lr.opState(0, op.ID)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if len(st.outputs) == 0 {
+		return nil
+	}
+	return st.outputs[len(st.outputs)-1]
+}
+
+// diffRun drives one query's work orders through the exec kernels (lr,
+// on an engine configured by cfg) and through the reference (ref) side
+// by side.
+type diffRun struct {
+	q       *QueryState
+	lr, ref *liveRun
+}
+
+func newDiffRun(p *plan.Plan, cfg LiveConfig) *diffRun {
+	lr, q := testRun(NewLive(nil, cfg), p)
+	refLive := NewLive(nil, LiveConfig{})
+	useReference(refLive)
+	ref, _ := testRun(refLive, p)
+	return &diffRun{q: q, lr: lr, ref: ref}
+}
+
+// step runs one work order of op over in on both paths and returns the
+// rows each produced.
+func (d *diffRun) step(op *plan.Operator, in *storage.Block) (got, want int) {
+	return runBlock(d.lr, d.q, op, in), runBlock(d.ref, d.q, op, in)
+}
+
+// requireSame steps op over in and fails unless both paths produced the
+// same row count and identical last output blocks.
+func (d *diffRun) requireSame(t *testing.T, label string, op *plan.Operator, in *storage.Block) {
+	t.Helper()
+	if got, want := d.step(op, in); got != want {
+		t.Fatalf("%s: kernels produced %d rows, reference %d", label, got, want)
+	}
+	requireBlocksEqual(t, label, lastOut(d.lr, op), lastOut(d.ref, op))
+}
+
+// requireSameGroups finalizes on both paths and compares the group maps.
+func (d *diffRun) requireSameGroups(t *testing.T, label string, fin *plan.Operator) {
+	t.Helper()
+	if got, want := d.step(fin, nil); got != want {
+		t.Fatalf("%s: kernels finalized %d groups, reference %d", label, got, want)
+	}
+	got, want := groupsOf(t, lastOut(d.lr, fin)), groupsOf(t, lastOut(d.ref, fin))
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d vs %d groups", label, len(got), len(want))
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("%s: group %d = %v kernels, %v reference", label, k, got[k], v)
+		}
+	}
+}
+
+var diffSchema = storage.MustSchema(
+	storage.Column{Name: "key", Type: storage.Int64Col},
+	storage.Column{Name: "val", Type: storage.Float64Col},
+	storage.Column{Name: "tag", Type: storage.StringCol},
+)
 
 // diffBlock generates one random mixed-type block: an int64 key column
 // with duplicates and gaps, a float column, and a string column.
 func diffBlock(rng *rand.Rand, rows int) *storage.Block {
-	schema := storage.MustSchema(
-		storage.Column{Name: "key", Type: storage.Int64Col},
-		storage.Column{Name: "val", Type: storage.Float64Col},
-		storage.Column{Name: "tag", Type: storage.StringCol},
-	)
 	ints := make([]int64, rows)
 	floats := make([]float64, rows)
 	strs := make([]string, rows)
@@ -54,7 +117,7 @@ func diffBlock(rng *rand.Rand, rows int) *storage.Block {
 	}
 	return &storage.Block{
 		Header:  storage.BlockHeader{BlockID: rng.Intn(100), Relation: "diff", Rows: rows},
-		Schema:  schema,
+		Schema:  diffSchema,
 		Vectors: []storage.ColumnVector{{Ints: ints}, {Floats: floats}, {Strings: strs}},
 	}
 }
@@ -110,7 +173,13 @@ func stringAt(v *storage.ColumnVector, r int) string {
 
 // diffDict covers every tag value diffBlock emits; sharing one instance
 // across blocks mirrors the storage layer's per-relation dictionary.
-var diffDict = storage.NewDictionary([]string{"v0", "v1", "v2", "v3", "v4", "v5"})
+// altDict holds the same values under different codes (extra entries
+// shift every shared value's code), so a probe comparing raw codes
+// across the two dictionaries would match the wrong rows.
+var (
+	diffDict = storage.NewDictionary([]string{"v0", "v1", "v2", "v3", "v4", "v5"})
+	altDict  = storage.NewDictionary([]string{"a0", "v0", "v1", "v2", "v3", "v4", "v5", "zz"})
+)
 
 // encodeTagWith rewrites a diffBlock's tag column to dictionary codes
 // under the given dictionary, in place.
@@ -126,16 +195,6 @@ func encodeTagWith(b *storage.Block, dict *storage.Dictionary) *storage.Block {
 	}
 	v.Codes, v.Dict, v.Strings = codes, dict, nil
 	return b
-}
-
-// lastOutput pops the most recent output of an op state.
-func lastOutput(st *liveOpState) *storage.Block {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if len(st.outputs) == 0 {
-		return nil
-	}
-	return st.outputs[len(st.outputs)-1]
 }
 
 // diffPredicates enumerates every predicate kind over every column
@@ -162,16 +221,7 @@ func TestDifferentialSelect(t *testing.T) {
 		for _, rows := range []int{0, 1, 257, 1000} {
 			in := diffBlock(rng, rows)
 			op := &plan.Operator{Type: plan.Select, Pred: pred, Selectivity: 0.4, Columns: []string{"key"}}
-			p := singleOpPlan(op)
-			sLR, sSts := newDiffRun(true, p)
-			vLR, vSts := newDiffRun(false, p)
-			sKept := sLR.runSelect(nil, op, sSts[op.ID], in)
-			vKept := vLR.runSelect(nil, op, vSts[op.ID], in)
-			label := fmt.Sprintf("select pred#%d rows=%d", pi, rows)
-			if sKept != vKept {
-				t.Fatalf("%s: scalar kept %d, vector kept %d", label, sKept, vKept)
-			}
-			requireBlocksEqual(t, label, lastOutput(sSts[op.ID]), lastOutput(vSts[op.ID]))
+			newDiffRun(singleOpPlan(op), LiveConfig{}).requireSame(t, fmt.Sprintf("select pred#%d rows=%d", pi, rows), op, in)
 		}
 	}
 }
@@ -183,14 +233,14 @@ func singleOpPlan(op *plan.Operator) *plan.Plan {
 	return b.MustBuild()
 }
 
-// joinDiffPlan builds scan -> build -> probe and returns (plan, build
-// op, probe op).
-func joinDiffPlan() (*plan.Plan, *plan.Operator, *plan.Operator) {
+// joinDiffPlan builds scan -> build -> probe keyed on col and returns
+// (plan, build op, probe op).
+func joinDiffPlan(col string) (*plan.Plan, *plan.Operator, *plan.Operator) {
 	b := plan.NewBuilder("diff-join")
 	scan := b.Add(&plan.Operator{Type: plan.TableScan, InputRelations: []string{"diff"}})
-	build := b.Add(&plan.Operator{Type: plan.BuildHash, Columns: []string{"key"}})
+	build := b.Add(&plan.Operator{Type: plan.BuildHash, Columns: []string{col}})
 	b.ConnectAuto(scan, build)
-	probe := b.Add(&plan.Operator{Type: plan.ProbeHash, Columns: []string{"key"}})
+	probe := b.Add(&plan.Operator{Type: plan.ProbeHash, Columns: []string{col}})
 	b.Connect(build, probe, false)
 	return b.MustBuild(), build, probe
 }
@@ -198,20 +248,12 @@ func joinDiffPlan() (*plan.Plan, *plan.Operator, *plan.Operator) {
 func TestDifferentialBuildProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	for round := 0; round < 20; round++ {
-		p, buildOp, probeOp := joinDiffPlan()
-		sLR, sSts := newDiffRun(true, p)
-		vLR, vSts := newDiffRun(false, p)
-		q := newQueryState(0, p, 0)
-
+		p, buildOp, probeOp := joinDiffPlan("key")
+		d := newDiffRun(p, LiveConfig{})
 		// Build from several blocks; the probe side shares only part of
 		// the key space (diffBlock keys are multiples of 3 in [0,120)).
 		for b := 0; b < 1+rng.Intn(3); b++ {
-			blk := diffBlock(rng, rng.Intn(400))
-			sRows := sLR.runBuild(buildOp, sSts[buildOp.ID], blk)
-			vRows := vLR.runBuild(buildOp, vSts[buildOp.ID], blk)
-			if sRows != vRows {
-				t.Fatalf("round %d: build returned %d vs %d", round, sRows, vRows)
-			}
+			d.requireSame(t, fmt.Sprintf("build round %d", round), buildOp, diffBlock(rng, rng.Intn(400)))
 		}
 		for b := 0; b < 2; b++ {
 			probeBlk := diffBlock(rng, rng.Intn(400))
@@ -221,22 +263,16 @@ func TestDifferentialBuildProbe(t *testing.T) {
 					probeBlk.Vectors[0].Ints[i] = int64(1000 + rng.Intn(50))
 				}
 			}
-			sm := sLR.runProbe(q, probeOp, sSts[probeOp.ID], probeBlk)
-			vm := vLR.runProbe(q, probeOp, vSts[probeOp.ID], probeBlk)
-			if sm != vm {
-				t.Fatalf("round %d: probe matched %d vs %d", round, sm, vm)
-			}
-			requireBlocksEqual(t, fmt.Sprintf("probe round %d", round),
-				lastOutput(sSts[probeOp.ID]), lastOutput(vSts[probeOp.ID]))
+			d.requireSame(t, fmt.Sprintf("probe round %d", round), probeOp, probeBlk)
 		}
 	}
 }
 
-// aggDiffPlan builds scan -> aggregate -> finalize.
-func aggDiffPlan() (*plan.Plan, *plan.Operator, *plan.Operator) {
+// aggDiffPlan builds scan -> aggregate(col) -> finalize.
+func aggDiffPlan(col string) (*plan.Plan, *plan.Operator, *plan.Operator) {
 	b := plan.NewBuilder("diff-agg")
 	scan := b.Add(&plan.Operator{Type: plan.TableScan, InputRelations: []string{"diff"}})
-	agg := b.Add(&plan.Operator{Type: plan.Aggregate, Columns: []string{"key"}})
+	agg := b.Add(&plan.Operator{Type: plan.Aggregate, Columns: []string{col}})
 	b.ConnectAuto(scan, agg)
 	fin := b.Add(&plan.Operator{Type: plan.FinalizeAggregate})
 	b.ConnectAuto(agg, fin)
@@ -259,30 +295,20 @@ func groupsOf(t *testing.T, b *storage.Block) map[int64]float64 {
 func TestDifferentialAggregateFinalize(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	for round := 0; round < 20; round++ {
-		p, aggOp, finOp := aggDiffPlan()
-		sLR, sSts := newDiffRun(true, p)
-		vLR, vSts := newDiffRun(false, p)
-		q := newQueryState(0, p, 0)
+		p, aggOp, finOp := aggDiffPlan("key")
+		d := newDiffRun(p, LiveConfig{})
+		label := fmt.Sprintf("round %d", round)
 		for b := 0; b < 1+rng.Intn(4); b++ {
-			blk := diffBlock(rng, rng.Intn(500))
-			sLR.runAggregate(aggOp, sSts[aggOp.ID], blk)
-			vLR.runAggregate(aggOp, vSts[aggOp.ID], blk)
+			d.requireSame(t, label, aggOp, diffBlock(rng, rng.Intn(500)))
 		}
-		sG := sLR.runFinalize(q, finOp, sSts[finOp.ID])
-		vG := vLR.runFinalize(q, finOp, vSts[finOp.ID])
-		if sG != vG {
-			t.Fatalf("round %d: finalize produced %d vs %d groups", round, sG, vG)
-		}
-		sM := groupsOf(t, lastOutput(sSts[finOp.ID]))
-		vM := groupsOf(t, lastOutput(vSts[finOp.ID]))
-		if len(sM) != len(vM) {
-			t.Fatalf("round %d: %d vs %d groups", round, len(sM), len(vM))
-		}
-		for k, v := range sM {
-			if vM[k] != v {
-				t.Fatalf("round %d: group %d = %v scalar, %v vector", round, k, v, vM[k])
-			}
-		}
+		d.requireSameGroups(t, label, finOp)
+	}
+	// An aggregate that never saw a row finalizes to zero groups.
+	p, _, finOp := aggDiffPlan("key")
+	d := newDiffRun(p, LiveConfig{})
+	d.requireSameGroups(t, "empty aggregate", finOp)
+	if rows := lastOut(d.lr, finOp).NumRows(); rows != 0 {
+		t.Fatalf("finalize over an empty aggregate produced %d groups", rows)
 	}
 }
 
@@ -291,15 +317,9 @@ func TestDifferentialSort(t *testing.T) {
 	op := &plan.Operator{Type: plan.Sort, Columns: []string{"key"}}
 	p := singleOpPlan(op)
 	for _, rows := range []int{0, 1, 2, 100, 1000} {
-		in := diffBlock(rng, rows)
-		sLR, sSts := newDiffRun(true, p)
-		vLR, vSts := newDiffRun(false, p)
-		sLR.runSort(nil, op, sSts[op.ID], in)
-		vLR.runSort(nil, op, vSts[op.ID], in)
 		// Exact order: duplicate keys are broken by row index on both
 		// paths, so the full permutation must agree.
-		requireBlocksEqual(t, fmt.Sprintf("sort rows=%d", rows),
-			lastOutput(sSts[op.ID]), lastOutput(vSts[op.ID]))
+		newDiffRun(p, LiveConfig{}).requireSame(t, fmt.Sprintf("sort rows=%d", rows), op, diffBlock(rng, rows))
 	}
 }
 
@@ -321,53 +341,20 @@ func TestDifferentialFuzz(t *testing.T) {
 			pred.Operand = int64(rng.Intn(140))
 		}
 		selOp := &plan.Operator{Type: plan.Select, Pred: pred, Selectivity: rng.Float64(), Columns: []string{"key"}}
-		selPlan := singleOpPlan(selOp)
-		sLR, sSts := newDiffRun(true, selPlan)
-		vLR, vSts := newDiffRun(false, selPlan)
-		if sk, vk := sLR.runSelect(nil, selOp, sSts[0], in), vLR.runSelect(nil, selOp, vSts[0], in); sk != vk {
-			t.Fatalf("round %d: select kept %d vs %d", round, sk, vk)
-		}
-		requireBlocksEqual(t, fmt.Sprintf("fuzz select %d", round), lastOutput(sSts[0]), lastOutput(vSts[0]))
+		newDiffRun(singleOpPlan(selOp), LiveConfig{}).requireSame(t, fmt.Sprintf("fuzz select %d", round), selOp, in)
 
-		jp, buildOp, probeOp := joinDiffPlan()
-		sJ, sJSts := newDiffRun(true, jp)
-		vJ, vJSts := newDiffRun(false, jp)
-		jq := newQueryState(0, jp, 0)
-		buildBlk := diffBlock(rng, rng.Intn(300))
-		sJ.runBuild(buildOp, sJSts[buildOp.ID], buildBlk)
-		vJ.runBuild(buildOp, vJSts[buildOp.ID], buildBlk)
-		if sm, vm := sJ.runProbe(jq, probeOp, sJSts[probeOp.ID], in), vJ.runProbe(jq, probeOp, vJSts[probeOp.ID], in); sm != vm {
-			t.Fatalf("round %d: probe matched %d vs %d", round, sm, vm)
-		}
-		requireBlocksEqual(t, fmt.Sprintf("fuzz probe %d", round),
-			lastOutput(sJSts[probeOp.ID]), lastOutput(vJSts[probeOp.ID]))
+		jp, buildOp, probeOp := joinDiffPlan("key")
+		j := newDiffRun(jp, LiveConfig{})
+		j.step(buildOp, diffBlock(rng, rng.Intn(300)))
+		j.requireSame(t, fmt.Sprintf("fuzz probe %d", round), probeOp, in)
 
-		ap, aggOp, finOp := aggDiffPlan()
-		sA, sASts := newDiffRun(true, ap)
-		vA, vASts := newDiffRun(false, ap)
-		aq := newQueryState(0, ap, 0)
-		sA.runAggregate(aggOp, sASts[aggOp.ID], in)
-		vA.runAggregate(aggOp, vASts[aggOp.ID], in)
-		sA.runFinalize(aq, finOp, sASts[finOp.ID])
-		vA.runFinalize(aq, finOp, vASts[finOp.ID])
-		sM := groupsOf(t, lastOutput(sASts[finOp.ID]))
-		vM := groupsOf(t, lastOutput(vASts[finOp.ID]))
-		if len(sM) != len(vM) {
-			t.Fatalf("round %d: aggregate %d vs %d groups", round, len(sM), len(vM))
-		}
-		for k, v := range sM {
-			if vM[k] != v {
-				t.Fatalf("round %d: group %d = %v vs %v", round, k, v, vM[k])
-			}
-		}
+		ap, aggOp, finOp := aggDiffPlan("key")
+		a := newDiffRun(ap, LiveConfig{})
+		a.step(aggOp, in)
+		a.requireSameGroups(t, fmt.Sprintf("fuzz aggregate %d", round), finOp)
 
 		sortOp := &plan.Operator{Type: plan.Sort, Columns: []string{"key"}}
-		sortPlan := singleOpPlan(sortOp)
-		sS, sSSts := newDiffRun(true, sortPlan)
-		vS, vSSts := newDiffRun(false, sortPlan)
-		sS.runSort(nil, sortOp, sSSts[0], in)
-		vS.runSort(nil, sortOp, vSSts[0], in)
-		requireBlocksEqual(t, fmt.Sprintf("fuzz sort %d", round), lastOutput(sSSts[0]), lastOutput(vSSts[0]))
+		newDiffRun(singleOpPlan(sortOp), LiveConfig{}).requireSame(t, fmt.Sprintf("fuzz sort %d", round), sortOp, in)
 	}
 }
 
@@ -377,7 +364,7 @@ func TestDifferentialFuzz(t *testing.T) {
 // probe the BuildHash's table. The old loop broke on the first blocking
 // child and silently probed an empty state, matching nothing.
 func TestProbePrefersBuildHashChild(t *testing.T) {
-	for _, mode := range []string{"scalar", "vector"} {
+	for _, mode := range []string{"reference", "vector"} {
 		t.Run(mode, func(t *testing.T) {
 			b := plan.NewBuilder("multi-child-probe")
 			scan1 := b.Add(&plan.Operator{Type: plan.TableScan, InputRelations: []string{"probe"}})
@@ -397,8 +384,11 @@ func TestProbePrefersBuildHashChild(t *testing.T) {
 				t.Fatalf("test setup: first probe child is %v, want Sort", got)
 			}
 
-			lr, sts := newDiffRun(mode == "scalar", p)
-			q := newQueryState(0, p, 0)
+			lv := NewLive(nil, LiveConfig{})
+			if mode == "reference" {
+				useReference(lv)
+			}
+			lr, q := testRun(lv, p)
 			keys := []int64{1, 2, 3, 4, 5, 6, 7, 8}
 			schema := storage.MustSchema(storage.Column{Name: "key", Type: storage.Int64Col})
 			blk := &storage.Block{
@@ -406,18 +396,18 @@ func TestProbePrefersBuildHashChild(t *testing.T) {
 				Schema:  schema,
 				Vectors: []storage.ColumnVector{{Ints: keys}},
 			}
-			lr.runBuild(buildOp, sts[buildOp.ID], blk)
+			runBlock(lr, q, buildOp, blk)
 			// Every probe key was built, so every row must match.
-			if matched := lr.runProbe(q, probeOp, sts[probeOp.ID], blk); matched != len(keys) {
+			if matched := runBlock(lr, q, probeOp, blk); matched != len(keys) {
 				t.Fatalf("probe matched %d of %d rows: build-side child selection picked the wrong child", matched, len(keys))
 			}
 		})
 	}
 }
 
-// --- Wave-2 differentials: dictionary strings, radix probe, morsels,
-// fusion. Same contract as above: scalar and vector paths must agree
-// exactly, for any morsel count.
+// --- Dictionary strings, radix probe, morsels, fusion. Same contract
+// as above: the kernels must agree with the reference exactly, for any
+// morsel count.
 
 func TestDifferentialSelectDictString(t *testing.T) {
 	rng := rand.New(rand.NewSource(505))
@@ -425,16 +415,7 @@ func TestDifferentialSelectDictString(t *testing.T) {
 		for _, rows := range []int{0, 1, 257, 1000} {
 			in := encodeTagWith(diffBlock(rng, rows), diffDict)
 			op := &plan.Operator{Type: plan.Select, Pred: plan.Predicate{Kind: plan.PredStringEq, Column: "tag", SOperand: operand}}
-			p := singleOpPlan(op)
-			sLR, sSts := newDiffRun(true, p)
-			vLR, vSts := newDiffRun(false, p)
-			sKept := sLR.runSelect(nil, op, sSts[op.ID], in)
-			vKept := vLR.runSelect(nil, op, vSts[op.ID], in)
-			label := fmt.Sprintf("dict select %q rows=%d", operand, rows)
-			if sKept != vKept {
-				t.Fatalf("%s: scalar kept %d, vector kept %d", label, sKept, vKept)
-			}
-			requireBlocksEqual(t, label, lastOutput(sSts[op.ID]), lastOutput(vSts[op.ID]))
+			newDiffRun(singleOpPlan(op), LiveConfig{}).requireSame(t, fmt.Sprintf("dict select %q rows=%d", operand, rows), op, in)
 		}
 	}
 }
@@ -444,42 +425,20 @@ func TestDifferentialSortDictKey(t *testing.T) {
 	op := &plan.Operator{Type: plan.Sort, Columns: []string{"tag"}}
 	p := singleOpPlan(op)
 	for _, rows := range []int{0, 1, 2, 100, 1000} {
+		// The reference compares decoded strings, the kernels sort codes;
+		// the dictionary is sorted, so the exact permutation (including
+		// row-index tie-breaks) must agree.
 		in := encodeTagWith(diffBlock(rng, rows), diffDict)
-		sLR, sSts := newDiffRun(true, p)
-		vLR, vSts := newDiffRun(false, p)
-		sLR.runSort(nil, op, sSts[op.ID], in)
-		vLR.runSort(nil, op, vSts[op.ID], in)
-		// The scalar path compares decoded strings, the vector path sorts
-		// codes; the dictionary is sorted, so the exact permutation
-		// (including row-index tie-breaks) must agree.
-		requireBlocksEqual(t, fmt.Sprintf("dict sort rows=%d", rows),
-			lastOutput(sSts[op.ID]), lastOutput(vSts[op.ID]))
+		newDiffRun(p, LiveConfig{}).requireSame(t, fmt.Sprintf("dict sort rows=%d", rows), op, in)
 	}
 }
 
-// dictJoinPlan is joinDiffPlan keyed on the string tag column.
-func dictJoinPlan() (*plan.Plan, *plan.Operator, *plan.Operator) {
-	b := plan.NewBuilder("diff-join-dict")
-	scan := b.Add(&plan.Operator{Type: plan.TableScan, InputRelations: []string{"diff"}})
-	build := b.Add(&plan.Operator{Type: plan.BuildHash, Columns: []string{"tag"}})
-	b.ConnectAuto(scan, build)
-	probe := b.Add(&plan.Operator{Type: plan.ProbeHash, Columns: []string{"tag"}})
-	b.Connect(build, probe, false)
-	return b.MustBuild(), build, probe
-}
-
 func TestDifferentialBuildProbeDictKey(t *testing.T) {
-	// probeDict deliberately assigns different codes to the same tag
-	// values (extra entries shift every shared value's code), so a probe
-	// comparing raw codes across dictionaries would match the wrong rows.
-	probeDict := storage.NewDictionary([]string{"a0", "v0", "v1", "v2", "v3", "v4", "v5", "zz"})
 	rng := rand.New(rand.NewSource(707))
 	for round := 0; round < 10; round++ {
-		for _, pd := range []*storage.Dictionary{diffDict, probeDict} {
-			p, buildOp, probeOp := dictJoinPlan()
-			sLR, sSts := newDiffRun(true, p)
-			vLR, vSts := newDiffRun(false, p)
-			q := newQueryState(0, p, 0)
+		for _, pd := range []*storage.Dictionary{diffDict, altDict} {
+			p, buildOp, probeOp := joinDiffPlan("tag")
+			d := newDiffRun(p, LiveConfig{})
 			for b := 0; b < 1+rng.Intn(3); b++ {
 				blk := encodeTagWith(diffBlock(rng, rng.Intn(400)), diffDict)
 				// Drop some tag values from the build side so probes miss.
@@ -488,64 +447,40 @@ func TestDifferentialBuildProbeDictKey(t *testing.T) {
 						blk.Vectors[2].Codes[i] = 0
 					}
 				}
-				sLR.runBuild(buildOp, sSts[buildOp.ID], blk)
-				vLR.runBuild(buildOp, vSts[buildOp.ID], blk)
+				d.step(buildOp, blk)
 			}
 			probeBlk := encodeTagWith(diffBlock(rng, rng.Intn(400)), pd)
-			sm := sLR.runProbe(q, probeOp, sSts[probeOp.ID], probeBlk)
-			vm := vLR.runProbe(q, probeOp, vSts[probeOp.ID], probeBlk)
-			label := fmt.Sprintf("dict probe round %d shared=%v", round, pd == diffDict)
-			if sm != vm {
-				t.Fatalf("%s: scalar matched %d, vector matched %d", label, sm, vm)
-			}
-			requireBlocksEqual(t, label, lastOutput(sSts[probeOp.ID]), lastOutput(vSts[probeOp.ID]))
+			d.requireSame(t, fmt.Sprintf("dict probe round %d shared=%v", round, pd == diffDict), probeOp, probeBlk)
 		}
 	}
 }
 
 // TestDifferentialProbePartitioned pushes the probe batch past
-// partitionedProbeMin so the vector path takes the radix-partitioned
-// probe, and compares it against the scalar map probe.
+// partitionedProbeMin so the kernels take the radix-partitioned probe,
+// and compares it against the reference map probe.
 func TestDifferentialProbePartitioned(t *testing.T) {
 	rng := rand.New(rand.NewSource(808))
-	p, buildOp, probeOp := joinDiffPlan()
-	sLR, sSts := newDiffRun(true, p)
-	vLR, vSts := newDiffRun(false, p)
-	q := newQueryState(0, p, 0)
-	buildBlk := diffBlock(rng, 2000)
-	sLR.runBuild(buildOp, sSts[buildOp.ID], buildBlk)
-	vLR.runBuild(buildOp, vSts[buildOp.ID], buildBlk)
+	p, buildOp, probeOp := joinDiffPlan("key")
+	d := newDiffRun(p, LiveConfig{})
+	d.step(buildOp, diffBlock(rng, 2000))
 	probeBlk := diffBlock(rng, 6000)
 	for i := range probeBlk.Vectors[0].Ints {
 		if rng.Intn(3) == 0 {
 			probeBlk.Vectors[0].Ints[i] = int64(1000 + rng.Intn(100))
 		}
 	}
-	sm := sLR.runProbe(q, probeOp, sSts[probeOp.ID], probeBlk)
-	vm := vLR.runProbe(q, probeOp, vSts[probeOp.ID], probeBlk)
-	if sm != vm {
-		t.Fatalf("partitioned probe: scalar matched %d, vector matched %d", sm, vm)
-	}
-	requireBlocksEqual(t, "partitioned probe", lastOutput(sSts[probeOp.ID]), lastOutput(vSts[probeOp.ID]))
+	d.requireSame(t, "partitioned probe", probeOp, probeBlk)
 }
 
-// newMorselRun builds a bare vector-path liveRun with morsel splitting
-// forced on: a bound of morsels and a gate holding helpers tokens.
-func newMorselRun(p *plan.Plan, morsels, helpers int) (*liveRun, []*liveOpState) {
-	lr, sts := newDiffRun(false, p)
-	lr.morsels = morsels
-	lr.morselGate = make(chan struct{}, helpers)
-	for i := 0; i < helpers; i++ {
-		lr.morselGate <- struct{}{}
-	}
-	lr.morselSplits = &metrics.Counter{}
-	lr.morselHelpers = &metrics.Counter{}
-	return lr, sts
+// morselDiffRun is a diffRun whose kernel engine splits work orders 4
+// ways with the given number of helper threads.
+func morselDiffRun(p *plan.Plan, helpers int) *diffRun {
+	return newDiffRun(p, LiveConfig{Threads: helpers + 1, Morsels: 4, Metrics: metrics.NewRegistry()})
 }
 
 // TestDifferentialMorsels runs large select, probe, and sort work
 // orders split across concurrent morsels and requires bit-identical
-// output to the scalar path — including sort tie-breaks across morsel
+// output to the reference — including sort tie-breaks across morsel
 // boundaries (diffBlock has 40 distinct keys over 40000 rows, so every
 // key's run of duplicates spans several morsel ranges).
 func TestDifferentialMorsels(t *testing.T) {
@@ -554,47 +489,31 @@ func TestDifferentialMorsels(t *testing.T) {
 	in := diffBlock(rng, rows)
 
 	selOp := &plan.Operator{Type: plan.Select, Pred: plan.Predicate{Kind: plan.PredIntLess, Column: "key", Operand: 60}}
-	selPlan := singleOpPlan(selOp)
-	sLR, sSts := newDiffRun(true, selPlan)
-	mLR, mSts := newMorselRun(selPlan, 4, 3)
-	if sk, mk := sLR.runSelect(nil, selOp, sSts[0], in), mLR.runSelect(nil, selOp, mSts[0], in); sk != mk {
-		t.Fatalf("morsel select kept %d, scalar kept %d", mk, sk)
-	}
-	requireBlocksEqual(t, "morsel select", lastOutput(sSts[0]), lastOutput(mSts[0]))
-	if mLR.morselSplits.Value() == 0 {
+	d := morselDiffRun(singleOpPlan(selOp), 3)
+	d.requireSame(t, "morsel select", selOp, in)
+	if d.lr.live.instr.morselSplits.Value() == 0 {
 		t.Fatal("morsel select did not split: the differential exercised nothing")
 	}
 
-	jp, buildOp, probeOp := joinDiffPlan()
-	sJ, sJSts := newDiffRun(true, jp)
-	mJ, mJSts := newMorselRun(jp, 4, 3)
-	jq := newQueryState(0, jp, 0)
-	buildBlk := diffBlock(rng, 1500)
-	sJ.runBuild(buildOp, sJSts[buildOp.ID], buildBlk)
-	mJ.runBuild(buildOp, mJSts[buildOp.ID], buildBlk)
-	if sm, mm := sJ.runProbe(jq, probeOp, sJSts[probeOp.ID], in), mJ.runProbe(jq, probeOp, mJSts[probeOp.ID], in); sm != mm {
-		t.Fatalf("morsel probe matched %d, scalar matched %d", mm, sm)
-	}
-	requireBlocksEqual(t, "morsel probe", lastOutput(sJSts[probeOp.ID]), lastOutput(mJSts[probeOp.ID]))
+	jp, buildOp, probeOp := joinDiffPlan("key")
+	j := morselDiffRun(jp, 3)
+	j.step(buildOp, diffBlock(rng, 1500))
+	j.requireSame(t, "morsel probe", probeOp, in)
 
 	sortOp := &plan.Operator{Type: plan.Sort, Columns: []string{"key"}}
 	sortPlan := singleOpPlan(sortOp)
-	sS, sSSts := newDiffRun(true, sortPlan)
 	for _, helpers := range []int{1, 2, 3} {
-		mS, mSSts := newMorselRun(sortPlan, 4, helpers)
-		sS.runSort(nil, sortOp, sSSts[0], in)
-		mS.runSort(nil, sortOp, mSSts[0], in)
-		requireBlocksEqual(t, fmt.Sprintf("morsel sort helpers=%d", helpers),
-			lastOutput(sSSts[0]), lastOutput(mSSts[0]))
+		morselDiffRun(sortPlan, helpers).requireSame(t, fmt.Sprintf("morsel sort helpers=%d", helpers), sortOp, in)
 	}
 }
 
 // TestDifferentialFusedSelect pins the fusion decision and its
 // semantics: a select feeding a sole Aggregate parent emits only the
 // aggregate's key column, and the aggregate result over the slim
-// blocks matches the scalar pipeline over full-width blocks. A select
-// feeding a BuildHash whose probe draws its main input from the build
-// must NOT fuse (the probe would read the slimmed block as its input).
+// blocks matches the reference pipeline over full-width blocks. A
+// select feeding a BuildHash whose probe draws its main input from the
+// build must NOT fuse (the probe would read the slimmed block as its
+// input).
 func TestDifferentialFusedSelect(t *testing.T) {
 	rng := rand.New(rand.NewSource(111))
 	in := diffBlock(rng, 2000)
@@ -607,36 +526,25 @@ func TestDifferentialFusedSelect(t *testing.T) {
 	b.ConnectAuto(selOp, aggOp)
 	finOp := b.Add(&plan.Operator{Type: plan.FinalizeAggregate})
 	b.ConnectAuto(aggOp, finOp)
-	p := b.MustBuild()
+	d := newDiffRun(b.MustBuild(), LiveConfig{})
 
-	sLR, sSts := newDiffRun(true, p)
-	vLR, vSts := newDiffRun(false, p)
-	// Fusion needs the engine's schema cache; wire a Live into the bare run.
-	vLR.live = NewLive(nil, LiveConfig{Threads: 1})
-	q := newQueryState(0, p, 0)
-
-	sKept := sLR.runSelect(nil, selOp, sSts[selOp.ID], in)
-	vKept := vLR.runSelect(nil, selOp, vSts[selOp.ID], in)
-	if sKept != vKept {
-		t.Fatalf("fused select kept %d, scalar kept %d", vKept, sKept)
+	if got, want := d.step(selOp, in); got != want {
+		t.Fatalf("fused select kept %d, reference kept %d", got, want)
 	}
-	slim := lastOutput(vSts[selOp.ID])
+	slim := lastOut(d.lr, selOp)
 	if slim.Schema.NumColumns() != 1 {
 		t.Fatalf("select feeding a sole aggregate emitted %d columns, want fused single column", slim.Schema.NumColumns())
 	}
-	sLR.runAggregate(aggOp, sSts[aggOp.ID], lastOutput(sSts[selOp.ID]))
-	vLR.runAggregate(aggOp, vSts[aggOp.ID], slim)
-	sLR.runFinalize(q, finOp, sSts[finOp.ID])
-	vLR.runFinalize(q, finOp, vSts[finOp.ID])
-	sM := groupsOf(t, lastOutput(sSts[finOp.ID]))
-	vM := groupsOf(t, lastOutput(vSts[finOp.ID]))
-	if len(sM) != len(vM) {
-		t.Fatalf("fused pipeline: %d vs %d groups", len(vM), len(sM))
-	}
-	for k, v := range sM {
-		if vM[k] != v {
-			t.Fatalf("fused pipeline: group %d = %v vector, %v scalar", k, vM[k], v)
-		}
+	runBlock(d.lr, d.q, aggOp, slim)
+	runBlock(d.ref, d.q, aggOp, lastOut(d.ref, selOp))
+	d.requireSameGroups(t, "fused pipeline", finOp)
+
+	// selectWidth runs the select of p on the kernels and returns the
+	// column count of the block it emitted.
+	selectWidth := func(p *plan.Plan, sel *plan.Operator) int {
+		lr, q := testRun(NewLive(nil, LiveConfig{}), p)
+		runBlock(lr, q, sel, in)
+		return lastOut(lr, sel).Schema.NumColumns()
 	}
 
 	// Unsafe shape: probe's main (last) child is the build, so the probe
@@ -649,11 +557,7 @@ func TestDifferentialFusedSelect(t *testing.T) {
 	b2.ConnectAuto(sel2, build2)
 	probe2 := b2.Add(&plan.Operator{Type: plan.ProbeHash, Columns: []string{"key"}})
 	b2.Connect(build2, probe2, false)
-	p2 := b2.MustBuild()
-	uLR, uSts := newDiffRun(false, p2)
-	uLR.live = vLR.live
-	uLR.runSelect(nil, sel2, uSts[sel2.ID], in)
-	if got := lastOutput(uSts[sel2.ID]).Schema.NumColumns(); got != in.Schema.NumColumns() {
+	if got := selectWidth(b2.MustBuild(), sel2); got != in.Schema.NumColumns() {
 		t.Fatalf("select feeding a probed build emitted %d columns, want unfused %d", got, in.Schema.NumColumns())
 	}
 
@@ -669,11 +573,91 @@ func TestDifferentialFusedSelect(t *testing.T) {
 	probe3 := b3.Add(&plan.Operator{Type: plan.ProbeHash, Columns: []string{"key"}})
 	b3.Connect(build3, probe3, false)
 	b3.ConnectAuto(scanP, probe3)
-	p3 := b3.MustBuild()
-	fLR, fSts := newDiffRun(false, p3)
-	fLR.live = vLR.live
-	fLR.runSelect(nil, sel3, fSts[sel3.ID], in)
-	if got := lastOutput(fSts[sel3.ID]).Schema.NumColumns(); got != 1 {
+	if got := selectWidth(b3.MustBuild(), sel3); got != 1 {
 		t.Fatalf("select feeding an un-probed build emitted %d columns, want fused single column", got)
 	}
+}
+
+// fuzzBlock decodes three bytes per row into a diffBlock-shaped block: a
+// signed key, a value in [0, 100] and a tag v0..v5. coding%3 picks the
+// tag representation: 0 plain strings, 1 coded under diffDict, 2 coded
+// under diffDict on the build side and altDict on the probe side.
+func fuzzBlock(data []byte, coding uint8, probe bool) *storage.Block {
+	rows := len(data) / 3
+	ints, floats, strs := make([]int64, rows), make([]float64, rows), make([]string, rows)
+	for i := range ints {
+		ints[i] = int64(int8(data[3*i]))
+		floats[i] = float64(data[3*i+1]) / 2.55
+		strs[i] = fmt.Sprintf("v%d", data[3*i+2]%6)
+	}
+	b := &storage.Block{
+		Header:  storage.BlockHeader{Relation: "diff", Rows: rows},
+		Schema:  diffSchema,
+		Vectors: []storage.ColumnVector{{Ints: ints}, {Floats: floats}, {Strings: strs}},
+	}
+	switch coding % 3 {
+	case 1:
+		encodeTagWith(b, diffDict)
+	case 2:
+		if probe {
+			encodeTagWith(b, altDict)
+		} else {
+			encodeTagWith(b, diffDict)
+		}
+	}
+	return b
+}
+
+// FuzzLiveKernels holds every exec-kernel runner to the reference on
+// fuzzer-chosen blocks: select, probe and sort must match in exact row
+// order, aggregate+finalize in the group map. The fuzzer picks the
+// block contents, a diffPredicates case and its operand, the tag's
+// dictionary coding, and the join/sort/group column. The seed corpus is
+// the differential suite's predicate cases at its block sizes.
+func FuzzLiveKernels(f *testing.F) {
+	rng := rand.New(rand.NewSource(1234))
+	for i, p := range diffPredicates() {
+		operand := p.Operand
+		switch p.Kind {
+		case plan.PredFloatLess:
+			operand = int64(p.FOperand)
+		case plan.PredStringEq:
+			operand = int64(p.SOperand[1] - '0')
+		}
+		for _, rows := range []int{0, 1, 257} {
+			data := make([]byte, 3*rows)
+			rng.Read(data)
+			f.Add(data, uint8(i), operand, uint8(rows%3), uint8(i%3))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, predIdx uint8, operand int64, coding, keyCol uint8) {
+		in := fuzzBlock(data, coding, true)
+		preds := diffPredicates()
+		pred := preds[int(predIdx)%len(preds)]
+		switch pred.Kind {
+		case plan.PredFloatLess:
+			pred.FOperand = float64(operand)
+		case plan.PredStringEq:
+			pred.SOperand = fmt.Sprintf("v%d", operand)
+		default:
+			pred.Operand = operand
+		}
+		col := []string{"key", "tag", "val"}[keyCol%3]
+
+		selOp := &plan.Operator{Type: plan.Select, Pred: pred, Selectivity: float64(uint8(operand)) / 1000, Columns: []string{"key"}}
+		newDiffRun(singleOpPlan(selOp), LiveConfig{}).requireSame(t, "select", selOp, in)
+
+		jp, buildOp, probeOp := joinDiffPlan(col)
+		j := newDiffRun(jp, LiveConfig{})
+		j.requireSame(t, "build", buildOp, fuzzBlock(data[:len(data)/2], coding, false))
+		j.requireSame(t, "probe", probeOp, in)
+
+		ap, aggOp, finOp := aggDiffPlan(col)
+		a := newDiffRun(ap, LiveConfig{})
+		a.requireSame(t, "aggregate", aggOp, in)
+		a.requireSameGroups(t, "finalize", finOp)
+
+		sortOp := &plan.Operator{Type: plan.Sort, Columns: []string{col}}
+		newDiffRun(singleOpPlan(sortOp), LiveConfig{}).requireSame(t, "sort", sortOp, in)
+	})
 }

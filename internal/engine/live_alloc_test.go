@@ -8,8 +8,8 @@ import (
 
 // Allocation-budget regression tests, mirroring the provenance
 // recorder's TestProvenanceRecordingAllocBudget: once the block pool
-// and scratch buffers are warm, serving a query through the vectorized
-// path must stay under a fixed allocations-per-run budget, so pooling
+// and scratch buffers are warm, serving a query must stay under a
+// fixed allocations-per-run budget, so pooling
 // regressions (a kernel quietly allocating per block again) fail CI
 // instead of showing up as a throughput cliff later.
 
@@ -34,13 +34,12 @@ func allocBudgetCatalog(t testing.TB) *storage.Catalog {
 }
 
 // liveRunAllocBudget bounds one steady-state RunOne of the 4-block
-// select->aggregate->finalize pipeline on the vectorized path. The
-// budget covers the per-run bookkeeping that legitimately remains
-// (liveRun, result maps, sim setup, plan clone) with modest headroom —
-// op states, aggregate tables, estimator windows, events, and output
-// blocks are all recycled; per-work-order and per-row allocations
-// would blow through it immediately. Vector steady state measured
-// ~100/op; the scalar path costs several hundred more.
+// select->aggregate->finalize pipeline. The budget covers the per-run
+// bookkeeping that legitimately remains (liveRun, result maps, sim
+// setup, plan clone) with modest headroom — op states, aggregate
+// tables, estimator windows, events, and output blocks are all
+// recycled; per-work-order and per-row allocations would blow through
+// it immediately. Steady state measured ~100/op.
 const liveRunAllocBudget = 150
 
 func TestLiveRunAllocBudget(t *testing.T) {

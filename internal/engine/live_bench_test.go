@@ -3,7 +3,6 @@ package engine
 import (
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/storage"
 )
@@ -32,11 +31,11 @@ func benchBlock(b *testing.B) *storage.Block {
 	return rel.Blocks[0]
 }
 
-func benchRun() *liveRun {
-	return &liveRun{
-		pool:   exec.NewBlockPool(),
-		states: make(map[int][]*liveOpState),
-	}
+// benchRun builds a single-thread run of p's query (see testRun) and
+// returns it with the op state of op.
+func benchRun(p *plan.Plan, op *plan.Operator) (*liveRun, *QueryState, *liveOpState) {
+	lr, q := testRun(NewLive(nil, LiveConfig{}), p)
+	return lr, q, lr.opState(q.ID, op.ID)
 }
 
 // benchDrain recycles an op state's outputs between iterations: pooled
@@ -48,7 +47,7 @@ func benchDrain(lr *liveRun, st *liveOpState) {
 	st.pooled = st.pooled[:0]
 	st.mu.Unlock()
 	for _, blk := range pooled {
-		lr.pool.Put(blk)
+		lr.live.pool.Put(blk)
 	}
 }
 
@@ -58,12 +57,11 @@ func BenchmarkLiveKernels(b *testing.B) {
 		// ~50% selectivity over the 128-key space.
 		op := &plan.Operator{Type: plan.Select, Columns: []string{"key"},
 			Pred: plan.Predicate{Kind: plan.PredIntLess, Column: "key", Operand: 64}}
-		lr := benchRun()
-		st := &liveOpState{}
+		lr, q, st := benchRun(singleOpPlan(op), op)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			lr.runSelect(nil, op, st, in)
+			lr.runSelect(q, op, st, in)
 			benchDrain(lr, st)
 		}
 	})
@@ -71,13 +69,12 @@ func BenchmarkLiveKernels(b *testing.B) {
 	b.Run("build", func(b *testing.B) {
 		in := benchBlock(b)
 		op := &plan.Operator{Type: plan.BuildHash, Columns: []string{"key"}}
-		lr := benchRun()
-		st := &liveOpState{}
-		lr.runBuild(op, st, in) // warm: table reaches steady size
+		lr, q, st := benchRun(singleOpPlan(op), op)
+		lr.runBuild(q, op, st, in) // warm: table reaches steady size
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			lr.runBuild(op, st, in)
+			lr.runBuild(q, op, st, in)
 		}
 	})
 
@@ -89,20 +86,12 @@ func BenchmarkLiveKernels(b *testing.B) {
 		bp.ConnectAuto(scan, buildOp)
 		probeOp := bp.Add(&plan.Operator{Type: plan.ProbeHash, Columns: []string{"key"}})
 		bp.Connect(buildOp, probeOp, false)
-		p := bp.MustBuild()
-		lr := benchRun()
-		sts := make([]*liveOpState, len(p.Ops))
-		for i := range sts {
-			sts[i] = &liveOpState{}
-		}
-		lr.states[0] = sts
-		q := newQueryState(0, p, 0)
-		lr.runBuild(p.Ops[buildOp.ID], sts[buildOp.ID], in)
-		st := sts[probeOp.ID]
+		lr, q, st := benchRun(bp.MustBuild(), probeOp)
+		lr.runBuild(q, buildOp, lr.opState(q.ID, buildOp.ID), in)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			lr.runProbe(q, p.Ops[probeOp.ID], st, in)
+			lr.runProbe(q, probeOp, st, in)
 			benchDrain(lr, st)
 		}
 	})
@@ -110,25 +99,23 @@ func BenchmarkLiveKernels(b *testing.B) {
 	b.Run("aggregate", func(b *testing.B) {
 		in := benchBlock(b)
 		op := &plan.Operator{Type: plan.Aggregate, Columns: []string{"key"}}
-		lr := benchRun()
-		st := &liveOpState{}
-		lr.runAggregate(op, st, in) // warm: group state reaches steady size
+		lr, q, st := benchRun(singleOpPlan(op), op)
+		lr.runAggregate(q, op, st, in) // warm: group state reaches steady size
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			lr.runAggregate(op, st, in)
+			lr.runAggregate(q, op, st, in)
 		}
 	})
 
 	b.Run("sort", func(b *testing.B) {
 		in := benchBlock(b)
 		op := &plan.Operator{Type: plan.Sort, Columns: []string{"key"}}
-		lr := benchRun()
-		st := &liveOpState{}
+		lr, q, st := benchRun(singleOpPlan(op), op)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			lr.runSort(nil, op, st, in)
+			lr.runSort(q, op, st, in)
 			benchDrain(lr, st)
 		}
 	})
@@ -147,12 +134,11 @@ func BenchmarkLiveKernels(b *testing.B) {
 		in := rel.Blocks[0] // ~1/8 selectivity
 		op := &plan.Operator{Type: plan.Select, Columns: []string{"tag"},
 			Pred: plan.Predicate{Kind: plan.PredStringEq, Column: "tag", SOperand: "v3"}}
-		lr := benchRun()
-		st := &liveOpState{}
+		lr, q, st := benchRun(singleOpPlan(op), op)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			lr.runSelect(nil, op, st, in)
+			lr.runSelect(q, op, st, in)
 			benchDrain(lr, st)
 		}
 	})
@@ -172,12 +158,11 @@ func BenchmarkLiveKernels(b *testing.B) {
 		}
 		in := rel.Blocks[0]
 		op := &plan.Operator{Type: plan.Sort, Columns: []string{"key"}}
-		lr := benchRun()
-		st := &liveOpState{}
+		lr, q, st := benchRun(singleOpPlan(op), op)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			lr.runSort(nil, op, st, in)
+			lr.runSort(q, op, st, in)
 			benchDrain(lr, st)
 		}
 	})
@@ -209,21 +194,13 @@ func BenchmarkLiveKernels(b *testing.B) {
 		bp.ConnectAuto(scan, buildOp)
 		probeOp := bp.Add(&plan.Operator{Type: plan.ProbeHash, Columns: []string{"key"}})
 		bp.Connect(buildOp, probeOp, false)
-		p := bp.MustBuild()
-		lr := benchRun()
-		sts := make([]*liveOpState, len(p.Ops))
-		for i := range sts {
-			sts[i] = &liveOpState{}
-		}
-		lr.states[0] = sts
-		q := newQueryState(0, p, 0)
-		lr.runBuild(p.Ops[buildOp.ID], sts[buildOp.ID], brel.Blocks[0])
-		st := sts[probeOp.ID]
+		lr, q, st := benchRun(bp.MustBuild(), probeOp)
+		lr.runBuild(q, buildOp, lr.opState(q.ID, buildOp.ID), brel.Blocks[0])
 		in := prel.Blocks[0]
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			lr.runProbe(q, p.Ops[probeOp.ID], st, in)
+			lr.runProbe(q, probeOp, st, in)
 			benchDrain(lr, st)
 		}
 	})
@@ -240,14 +217,11 @@ func BenchmarkLiveKernels(b *testing.B) {
 		bp.ConnectAuto(scan, sel)
 		agg := bp.Add(&plan.Operator{Type: plan.Aggregate, Columns: []string{"key"}})
 		bp.ConnectAuto(sel, agg)
-		p := bp.MustBuild()
-		lr := benchRun()
-		lr.live = NewLive(nil, LiveConfig{Threads: 1}) // enables the fusion cache
-		st := &liveOpState{}
+		lr, q, st := benchRun(bp.MustBuild(), sel)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			lr.runSelect(nil, p.Ops[sel.ID], st, in)
+			lr.runSelect(q, sel, st, in)
 			benchDrain(lr, st)
 		}
 	})

@@ -35,20 +35,20 @@ func morselSpan(p, parts, n int) (lo, hi int) {
 }
 
 // splitParts decides how many morsels an n-row work order splits into
-// under the run's bound; 1 means run unsplit.
+// under the engine's bound; 1 means run unsplit.
 func (lr *liveRun) splitParts(n int) int {
-	if lr.morsels <= 1 || n < 2*morselMinRows {
+	if lr.live.morsels <= 1 || n < 2*morselMinRows {
 		return 1
 	}
 	parts := n / morselMinRows
-	if parts > lr.morsels {
-		parts = lr.morsels
+	if parts > lr.live.morsels {
+		parts = lr.live.morsels
 	}
 	return parts
 }
 
 // acquireHelpers takes up to want helper tokens without blocking; a nil
-// gate (morsels off, bare tests) yields zero.
+// gate (morsels off) yields zero.
 func (lr *liveRun) acquireHelpers(want int) int {
 	got := 0
 	for got < want {
@@ -97,18 +97,18 @@ func (lr *liveRun) runMorsels(n int, fn func(part, lo, hi int)) int {
 	fn(parts-1, lo, hi)
 	wg.Wait()
 	lr.releaseHelpers(parts - 1)
-	lr.morselSplits.Inc()
-	lr.morselHelpers.Add(int64(parts - 1))
+	lr.live.instr.morselSplits.Inc()
+	lr.live.instr.morselHelpers.Add(int64(parts - 1))
 	return parts
 }
 
 // notePar reports a work order's achieved morsel parallelism to the
 // run's cost estimator (see costmodel.ObserveParallelism), so O-DUR
 // keeps predicting wall time when helper availability fluctuates. Keys
-// that never split are never reported, leaving their estimator state
-// bit-identical to the pre-morsel engine.
+// that never split, and runs with no helper gate, are never reported,
+// leaving their estimator state bit-identical to the pre-morsel engine.
 func (lr *liveRun) notePar(q *QueryState, op *plan.Operator, par int) {
-	if lr.morselGate == nil || lr.estimator == nil || q == nil {
+	if lr.morselGate == nil {
 		return
 	}
 	lr.estMu.Lock()

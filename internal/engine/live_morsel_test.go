@@ -27,7 +27,7 @@ func TestMorselSpanCoversRange(t *testing.T) {
 }
 
 func TestSplitPartsPolicy(t *testing.T) {
-	lr := &liveRun{morsels: 4}
+	lr := NewLive(nil, LiveConfig{Threads: 4, Morsels: 4}).newRun()
 	cases := []struct{ n, want int }{
 		{0, 1},
 		{morselMinRows, 1},
@@ -41,16 +41,15 @@ func TestSplitPartsPolicy(t *testing.T) {
 			t.Fatalf("splitParts(%d) = %d, want %d", c.n, got, c.want)
 		}
 	}
-	off := &liveRun{morsels: 1}
+	off := NewLive(nil, LiveConfig{Threads: 4, Morsels: 1}).newRun()
 	if got := off.splitParts(1 << 20); got != 1 {
 		t.Fatalf("splitParts with morsels off = %d, want 1", got)
 	}
 }
 
 func TestAcquireHelpersNonBlocking(t *testing.T) {
-	lr := &liveRun{morselGate: make(chan struct{}, 2)}
-	lr.morselGate <- struct{}{}
-	lr.morselGate <- struct{}{}
+	// Three threads: the gate starts with two helper tokens.
+	lr := NewLive(nil, LiveConfig{Threads: 3, Morsels: 4}).newRun()
 	if got := lr.acquireHelpers(3); got != 2 {
 		t.Fatalf("acquired %d helpers from a 2-token gate, want 2", got)
 	}
@@ -61,9 +60,9 @@ func TestAcquireHelpersNonBlocking(t *testing.T) {
 	if got := lr.acquireHelpers(2); got != 2 {
 		t.Fatalf("acquired %d helpers after release, want 2", got)
 	}
-	// A nil gate (morsels off, bare tests) always yields zero helpers.
-	bare := &liveRun{}
-	if got := bare.acquireHelpers(3); got != 0 {
+	// A nil gate (morsels off) always yields zero helpers.
+	off := NewLive(nil, LiveConfig{Threads: 1}).newRun()
+	if got := off.acquireHelpers(3); got != 0 {
 		t.Fatalf("nil gate yielded %d helpers, want 0", got)
 	}
 }
@@ -130,17 +129,17 @@ func morselArrivals() []Arrival {
 }
 
 // TestLiveMorselsEndToEnd runs the same workload with morsels forced
-// on (4-way splits on a 4-thread pool), morsels off, and the scalar
-// path, and requires identical query results — morsel splitting is an
-// execution detail, never a semantics change. It doubles as the
+// on (4-way splits on a 4-thread pool), morsels off, and on the per-row
+// reference, and requires identical query results — morsel splitting
+// is an execution detail, never a semantics change. It doubles as the
 // -race smoke for concurrent morsels inside one work order.
 func TestLiveMorselsEndToEnd(t *testing.T) {
 	cat := morselCatalog(t)
 	reg := metrics.NewRegistry()
 	lvM := NewLive(cat, LiveConfig{Threads: 4, Morsels: 4, Metrics: reg})
 	lvV := NewLive(cat, LiveConfig{Threads: 4, Morsels: 1})
-	lvS := NewLive(cat, LiveConfig{Threads: 4, Morsels: 1})
-	lvS.scalar = true
+	lvS := NewLive(cat, LiveConfig{Threads: 4})
+	useReference(lvS)
 
 	resM, err := lvM.Run(greedyTestSched{depth: 2}, morselArrivals())
 	if err != nil {

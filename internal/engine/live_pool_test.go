@@ -6,11 +6,12 @@ import (
 	"repro/internal/metrics"
 )
 
-// TestLiveScalarMatchesVectorEndToEnd runs the same workload through
-// the full live engine on both kernel paths and requires identical
-// results: same work-order count and same per-query output rows. This
-// is the end-to-end companion of the per-kernel differential tests.
-func TestLiveScalarMatchesVectorEndToEnd(t *testing.T) {
+// TestLiveReferenceMatchesVectorEndToEnd runs the same workload through
+// the full live engine on the exec kernels and on the per-row reference
+// and requires identical results: same work-order count and same
+// per-query output rows. This is the end-to-end companion of the
+// per-kernel differential tests.
+func TestLiveReferenceMatchesVectorEndToEnd(t *testing.T) {
 	cat := liveCatalog(t, "t", 1000, 125) // 8 blocks
 	arrivals := func() []Arrival {
 		var a []Arrival
@@ -25,22 +26,22 @@ func TestLiveScalarMatchesVectorEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sca := NewLive(cat, LiveConfig{Threads: 4})
-	sca.scalar = true
-	sres, err := sca.Run(greedyTestSched{depth: 2}, arrivals())
+	ref := NewLive(cat, LiveConfig{Threads: 4})
+	useReference(ref)
+	rres, err := ref.Run(greedyTestSched{depth: 2}, arrivals())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if vres.WorkOrders != sres.WorkOrders {
-		t.Fatalf("vector executed %d WOs, scalar %d", vres.WorkOrders, sres.WorkOrders)
+	if vres.WorkOrders != rres.WorkOrders {
+		t.Fatalf("vector executed %d WOs, reference %d", vres.WorkOrders, rres.WorkOrders)
 	}
-	if len(vres.OutputRows) != len(sres.OutputRows) {
-		t.Fatalf("vector completed %d queries, scalar %d", len(vres.OutputRows), len(sres.OutputRows))
+	if len(vres.OutputRows) != len(rres.OutputRows) {
+		t.Fatalf("vector completed %d queries, reference %d", len(vres.OutputRows), len(rres.OutputRows))
 	}
 	for qid, rows := range vres.OutputRows {
-		if sres.OutputRows[qid] != rows {
-			t.Fatalf("query %d: vector output %d rows, scalar %d", qid, rows, sres.OutputRows[qid])
+		if rres.OutputRows[qid] != rows {
+			t.Fatalf("query %d: vector output %d rows, reference %d", qid, rows, rres.OutputRows[qid])
 		}
 	}
 }

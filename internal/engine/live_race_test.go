@@ -70,9 +70,9 @@ func TestLiveStressInstrumentationLossless(t *testing.T) {
 // because the build edge is pipeline-breaking). The shared hash state
 // is read by the probe side; under `go test -race` this fails unless
 // runProbe holds the build-side lock for the whole probe. Both the
-// scalar map path and the vectorized open-addressing path are covered.
+// reference's map tables and the kernels' radix tables are covered.
 func TestLiveHashShareConcurrency(t *testing.T) {
-	for _, mode := range []string{"vector", "scalar"} {
+	for _, mode := range []string{"vector", "reference"} {
 		t.Run(mode, func(t *testing.T) {
 			gen := storage.NewGenerator(11)
 			rel, err := gen.Relation("r", 1000, 250, []storage.GenSpec{
@@ -89,18 +89,12 @@ func TestLiveHashShareConcurrency(t *testing.T) {
 			probe := b.Add(&plan.Operator{Type: plan.ProbeHash, InputRelations: []string{"r"}, EstBlocks: 4, Columns: []string{"key"}})
 			b.Connect(build, probe, false)
 			p := b.MustBuild()
-			q := newQueryState(0, p, 0)
-
-			lr := &liveRun{states: make(map[int][]*liveOpState), scalar: mode == "scalar"}
-			sts := make([]*liveOpState, len(p.Ops))
-			for i := range sts {
-				sts[i] = &liveOpState{}
+			lv := NewLive(nil, LiveConfig{})
+			var ref *refExec
+			if mode == "reference" {
+				ref = useReference(lv)
 			}
-			lr.states[0] = sts
-			buildSt := sts[build.ID]
-			probeSt := sts[probe.ID]
-			buildOp := p.Ops[build.ID]
-			probeOp := p.Ops[probe.ID]
+			lr, q := testRun(lv, p)
 
 			var wg sync.WaitGroup
 			for g := 0; g < 4; g++ {
@@ -108,34 +102,38 @@ func TestLiveHashShareConcurrency(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for _, blk := range rel.Blocks {
-						lr.runBuild(buildOp, buildSt, blk)
+						runBlock(lr, q, build, blk)
 					}
 				}()
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					for _, blk := range rel.Blocks {
-						lr.runProbe(q, probeOp, probeSt, blk)
+						runBlock(lr, q, probe, blk)
 					}
 				}()
 			}
 			wg.Wait()
 
 			// After every build finished, a probe must match every row.
-			if rows := lr.runProbe(q, probeOp, probeSt, rel.Blocks[0]); rows != rel.Blocks[0].NumRows() {
+			if rows := runBlock(lr, q, probe, rel.Blocks[0]); rows != rel.Blocks[0].NumRows() {
 				t.Fatalf("post-build probe matched %d rows, want %d", rows, rel.Blocks[0].NumRows())
 			}
 			// 4 goroutines × 4 blocks × 250 rows each landed in the hash state.
-			buildSt.mu.Lock()
 			var total int64
-			if lr.scalar {
-				for _, c := range buildSt.hash {
+			if ref != nil {
+				s := ref.state(lr, q, build)
+				s.mu.Lock()
+				for _, c := range s.hash {
 					total += int64(c)
 				}
+				s.mu.Unlock()
 			} else {
-				total = buildSt.vhash.Total()
+				buildSt := lr.opState(q.ID, build.ID)
+				buildSt.mu.Lock()
+				total = buildSt.hash.Total()
+				buildSt.mu.Unlock()
 			}
-			buildSt.mu.Unlock()
 			if total != 4*1000 {
 				t.Fatalf("hash state holds %d entries, want %d (lost concurrent inserts)", total, 4*1000)
 			}

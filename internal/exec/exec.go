@@ -1,11 +1,11 @@
 // Package exec implements the vectorized columnar execution kernels the
 // live engine runs work orders on: typed, branch-hoisted selection
 // kernels producing reusable selection vectors, open-addressing hash
-// tables with batch probe, gather/projection kernels that materialize
-// into pooled blocks, and a key-extracted sort. The kernels mirror the
-// block-based Quickstep backend the paper schedules: each call processes
-// one storage block, so one kernel invocation is one work order's data
-// touch.
+// tables with radix-partitioned batch probe, gather/projection kernels
+// that materialize into pooled blocks, and a key-extracted radix sort.
+// The kernels mirror the block-based Quickstep backend the paper
+// schedules: each call processes one storage block, so one kernel
+// invocation is one work order's data touch.
 //
 // Design rules shared by every kernel:
 //
@@ -19,8 +19,8 @@
 //     probe produces row indices; materialization is a separate gather
 //     so fused consumers can skip it.
 //
-// The engine keeps a scalar per-row implementation of every operator
-// as the reference the differential tests compare these kernels with.
+// The engine's tests hold these kernels, through the engine's runners,
+// to a per-row reference executor kept in its _test.go files.
 package exec
 
 // Scratch bundles the per-worker reusable buffers the kernels write

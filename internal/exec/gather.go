@@ -2,22 +2,6 @@ package exec
 
 import "repro/internal/storage"
 
-// Gather materializes the selected rows of a block into an output block
-// drawn from the pool — the projection kernel every filtering operator
-// (select, probe, sort) ends with. The column loop dispatches on the
-// schema type once per column; the row loops are tight typed copies
-// into pre-sized vectors, so a steady-state gather performs zero
-// allocations. Dictionary-coded string columns are gathered as codes
-// (the output shares the input's dictionary) — a projection never
-// decodes.
-func Gather(p *BlockPool, in *storage.Block, sel []int) *storage.Block {
-	out := p.GetLike(in, in.Schema, nil, len(sel))
-	out.Header.BlockID = in.Header.BlockID
-	out.Header.Relation = in.Header.Relation
-	GatherRange(out, in, nil, sel, 0, len(sel))
-	return out
-}
-
 // GatherFused materializes a single source column into a pooled block
 // of the (cached, single-column) fused schema — the projection half of
 // the fused select→build/aggregate path, which forwards only the key
@@ -31,11 +15,16 @@ func GatherFused(p *BlockPool, in *storage.Block, schema *storage.Schema, col in
 }
 
 // GatherRange fills output rows [lo, hi) of out from in's rows
-// sel[lo:hi]. cols maps output columns to source column indices (nil =
-// identity). out's vectors must already be sized for len(sel) rows (see
-// BlockPool.GetLike); disjoint ranges of one output block can be filled
-// concurrently — the engine's morsel driver splits large gathers this
-// way.
+// sel[lo:hi] — the projection kernel every filtering operator (select,
+// probe, sort) ends with. cols maps output columns to source column
+// indices (nil = identity). out's vectors must already be sized for
+// len(sel) rows (see BlockPool.GetLike); disjoint ranges of one output
+// block can be filled concurrently — the engine's morsel driver splits
+// large gathers this way. The column loop dispatches on the vector type
+// once per column; the row loops are tight typed copies into pre-sized
+// vectors, so a steady-state gather performs zero allocations.
+// Dictionary-coded string columns are gathered as codes (the output
+// shares the input's dictionary) — a projection never decodes.
 func GatherRange(out, in *storage.Block, cols []int, sel []int, lo, hi int) {
 	seg := sel[lo:hi]
 	for oi := range out.Schema.Columns {

@@ -25,8 +25,8 @@ func hashSlot(k int64, shift uint) uint64 {
 	return (uint64(k) * fibMult) >> shift
 }
 
-// CountTable counts occurrences per int64 key: the hash-join build side
-// (key -> number of build rows) and the distinct-count aggregate.
+// CountTable counts occurrences per int64 key: one partition of the
+// hash-join build side (key -> number of build rows, see RadixTable).
 type CountTable struct {
 	keys   []int64
 	counts []int64
@@ -35,13 +35,6 @@ type CountTable struct {
 	total  int64
 	mask   uint64
 	shift  uint
-}
-
-// NewCountTable returns a table pre-sized for about hint distinct keys.
-func NewCountTable(hint int) *CountTable {
-	t := &CountTable{}
-	t.init(capFor(hint))
-	return t
 }
 
 func capFor(hint int) int {
@@ -93,13 +86,6 @@ func (t *CountTable) Add(k int64) {
 	}
 }
 
-// AddBatch inserts every key of one block's key column.
-func (t *CountTable) AddBatch(keys []int64) {
-	for _, k := range keys {
-		t.Add(k)
-	}
-}
-
 func (t *CountTable) grow() {
 	keys, counts, used := t.keys, t.counts, t.used
 	t.init(len(keys) * 2)
@@ -147,29 +133,6 @@ func (t *CountTable) Total() int64 {
 		return 0
 	}
 	return t.total
-}
-
-// ProbeBatch fills sel with the indices of keys present in the table
-// (count > 0) — the hash-join probe kernel. The returned selection
-// vector reuses sel's backing array when large enough.
-func (t *CountTable) ProbeBatch(keys []int64, sel []int) []int {
-	sel = growSel(sel, len(keys))
-	if t == nil || t.keys == nil {
-		return sel[:0]
-	}
-	k := 0
-	for i, key := range keys {
-		sel[k] = i
-		j := hashSlot(key, t.shift)
-		for t.used[j] {
-			if t.keys[j] == key {
-				k++
-				break
-			}
-			j = (j + 1) & t.mask
-		}
-	}
-	return sel[:k]
 }
 
 // SumTable accumulates a float64 per int64 key: the grouped-aggregate

@@ -7,7 +7,7 @@ import (
 
 func TestCountTableMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	tbl := NewCountTable(4)
+	tbl := &CountTable{}
 	ref := make(map[int64]int64)
 	// Adversarial key mix: dense, sparse, negative, and zero keys, with
 	// enough volume to force several regrowths.
@@ -45,11 +45,13 @@ func TestCountTableMatchesMap(t *testing.T) {
 	}
 }
 
+// TestCountTableProbeBatch probes a batch against the CountTable
+// partitions of a join build side, the way the engine's probe does.
 func TestCountTableProbeBatch(t *testing.T) {
-	tbl := NewCountTable(0)
+	tbl := NewRadixTable(0)
 	tbl.AddBatch([]int64{2, 4, 6, 2})
 	keys := []int64{1, 2, 3, 4, 5, 6, 2}
-	sel := tbl.ProbeBatch(keys, nil)
+	sel := tbl.ProbeRange(keys, 0, len(keys), make([]int, len(keys)))
 	want := []int{1, 3, 5, 6}
 	if len(sel) != len(want) {
 		t.Fatalf("probe kept %v, want %v", sel, want)
@@ -60,11 +62,11 @@ func TestCountTableProbeBatch(t *testing.T) {
 		}
 	}
 	// Nil and empty tables match nothing.
-	var nilT *CountTable
-	if got := nilT.ProbeBatch(keys, nil); len(got) != 0 {
+	var nilT *RadixTable
+	if got := nilT.ProbeBatchPartitioned(keys, &Scratch{}); len(got) != 0 {
 		t.Fatalf("nil table matched %d keys", len(got))
 	}
-	if got := (&CountTable{}).ProbeBatch(keys, sel); len(got) != 0 {
+	if got := NewRadixTable(0).ProbeRange(keys, 0, len(keys), sel[:cap(sel)]); len(got) != 0 {
 		t.Fatalf("empty table matched %d keys", len(got))
 	}
 }

@@ -73,11 +73,6 @@ func (t *RadixTable) Dict() *storage.Dictionary {
 	return t.dict
 }
 
-// Add inserts one key into its partition.
-func (t *RadixTable) Add(k int64) {
-	t.parts[radixPart(k)].Add(k)
-}
-
 // AddBatch inserts every key of one block's key column.
 func (t *RadixTable) AddBatch(keys []int64) {
 	for _, k := range keys {
@@ -117,22 +112,11 @@ func (t *RadixTable) Total() int64 {
 	return total
 }
 
-// ProbeBatch fills sel with the indices of keys present in the table,
-// probing each key's partition inline — the small-batch probe path.
-// The returned selection vector reuses sel's backing array.
-func (t *RadixTable) ProbeBatch(keys []int64, sel []int) []int {
-	sel = growSel(sel, len(keys))
-	if t == nil {
-		return sel[:0]
-	}
-	return t.ProbeRange(keys, 0, len(keys), sel)
-}
-
-// ProbeRange probes rows [lo, hi) of the key column, writing kept
-// absolute row indices into sel (len >= hi-lo) and returning the kept
-// prefix — the morsel-parallel probe entry point (disjoint ranges of
-// one shared selection vector need no synchronization; the table is
-// read-only during probes).
+// ProbeRange probes rows [lo, hi) of the key column inline, writing
+// kept absolute row indices into sel (len >= hi-lo) and returning the
+// kept prefix — the small-batch and morsel-parallel probe (disjoint
+// ranges of one shared selection vector need no synchronization; the
+// table is read-only during probes).
 func (t *RadixTable) ProbeRange(keys []int64, lo, hi int, sel []int) []int {
 	k := 0
 	for i, key := range keys[lo:hi] {
@@ -148,7 +132,7 @@ func (t *RadixTable) ProbeRange(keys []int64, lo, hi int, sel []int) []int {
 // scatter (key, row) pairs by partition, probe partition-at-a-time so
 // each sub-table stays cache-resident, then re-emit matches in
 // ascending row order via the scratch mark bitmap — the output is
-// bit-identical to ProbeBatch. Falls back to the inline probe below
+// bit-identical to ProbeRange. Falls back to the inline probe below
 // partitionedProbeMin rows, or when the build side itself is under
 // partitionedBuildMin distinct keys.
 func (t *RadixTable) ProbeBatchPartitioned(keys []int64, sc *Scratch) []int {

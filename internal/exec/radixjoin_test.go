@@ -24,7 +24,7 @@ func TestRadixTableMatchesMap(t *testing.T) {
 		default:
 			k = 0
 		}
-		tbl.Add(k)
+		tbl.AddBatch([]int64{k})
 		ref[k]++
 	}
 	if tbl.Len() != len(ref) {
@@ -54,7 +54,7 @@ func TestProbeBatchPartitionedMatchesInline(t *testing.T) {
 		for i := 0; i < n; i += 3 {
 			probe[i] = build[rng.Intn(len(build))]
 		}
-		want := tbl.ProbeBatch(probe, nil)
+		want := tbl.ProbeRange(probe, 0, n, make([]int, n))
 		got := append([]int(nil), tbl.ProbeBatchPartitioned(probe, sc)...)
 		if len(got) != len(want) {
 			t.Fatalf("n=%d: partitioned kept %d, inline kept %d", n, len(got), len(want))
@@ -94,7 +94,7 @@ func TestProbeDictSharedAndTranslated(t *testing.T) {
 		if !ok {
 			t.Fatal("build value missing from dictionary")
 		}
-		tbl.Add(c)
+		tbl.AddBatch([]int64{c})
 	}
 	tbl.SetDict(buildDict)
 	sc := &Scratch{}
@@ -150,7 +150,7 @@ func TestGetLikeAndGatherDictCodes(t *testing.T) {
 		},
 	}
 	p := NewBlockPool()
-	out := Gather(p, in, []int{0, 2, 4})
+	out := gather(p, in, []int{0, 2, 4})
 	if out.NumRows() != 3 {
 		t.Fatalf("gathered %d rows, want 3", out.NumRows())
 	}
@@ -189,7 +189,7 @@ func TestGetLikeAndGatherDictCodes(t *testing.T) {
 			{Strings: []string{"x", "y"}},
 		},
 	}
-	out2 := Gather(p, plain, []int{1, 0})
+	out2 := gather(p, plain, []int{1, 0})
 	v2 := &out2.Vectors[1]
 	if v2.Codes != nil || v2.Dict != nil || v2.Strings == nil {
 		t.Fatal("recycled block did not flip back to plain strings")
@@ -203,11 +203,11 @@ func TestFilterDictCodes(t *testing.T) {
 	dict := storage.NewDictionary([]string{"a", "b", "c"})
 	v := &storage.ColumnVector{Codes: []int64{1, 0, 1, 2}, Dict: dict}
 	eq := func(s string) plan.Predicate { return plan.Predicate{Kind: plan.PredStringEq, SOperand: s} }
-	sel := Filter(eq("b"), v, 4, nil)
+	sel := FilterRange(eq("b"), v, 0, 4, make([]int, 4))
 	if len(sel) != 2 || sel[0] != 0 || sel[1] != 2 {
 		t.Fatalf("dict filter kept %v, want [0 2]", sel)
 	}
-	if sel := Filter(eq("zzz"), v, 4, nil); len(sel) != 0 {
+	if sel := FilterRange(eq("zzz"), v, 0, 4, make([]int, 4)); len(sel) != 0 {
 		t.Fatalf("dict filter of absent operand kept %v, want none", sel)
 	}
 	// FilterRange over a sub-range emits absolute indices.

@@ -5,30 +5,22 @@ import (
 	"repro/internal/storage"
 )
 
-// Filter evaluates pred over the first n rows of column v and returns
-// the selection vector of kept row indices, reusing sel's backing array
-// when it is large enough. The predicate kind and column vector are
+// FilterRange evaluates pred over rows [lo, hi) of column v: it writes
+// the kept absolute row indices into sel (which must have len >= hi-lo)
+// and returns the kept prefix. The predicate kind and column vector are
 // dispatched once; each typed loop writes its candidate index
 // unconditionally and advances the output cursor on a comparison
 // result, which the compiler lowers branch-free — at mixed
 // selectivities this is the difference between a predictable store
-// stream and a mispredicted branch per row.
+// stream and a mispredicted branch per row. The engine's morsel driver
+// hands each morsel a disjoint sub-range of one shared selection
+// vector, so concurrent range filters over one block need no
+// synchronization.
 //
-// Semantics match the scalar engine's per-row evalPred: a typed
-// predicate over a column of the wrong type keeps nothing; PredNone and
-// unknown kinds keep everything. A string-equality predicate over a
-// dictionary-coded column resolves the operand to its code once and
-// runs the integer-equality loop over codes.
-func Filter(pred plan.Predicate, v *storage.ColumnVector, n int, sel []int) []int {
-	sel = growSel(sel, n)
-	return FilterRange(pred, v, 0, n, sel)
-}
-
-// FilterRange is Filter restricted to rows [lo, hi): it writes the kept
-// absolute row indices into sel (which must have len >= hi-lo) and
-// returns the kept prefix. The engine's morsel driver hands each morsel
-// a disjoint sub-range of one shared selection vector, so concurrent
-// range filters over one block need no synchronization.
+// A typed predicate over a column of the wrong type keeps nothing;
+// PredNone and unknown kinds keep everything. A string-equality
+// predicate over a dictionary-coded column resolves the operand to its
+// code once and runs the integer-equality loop over codes.
 func FilterRange(pred plan.Predicate, v *storage.ColumnVector, lo, hi int, sel []int) []int {
 	k := 0
 	switch pred.Kind {

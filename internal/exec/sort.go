@@ -6,8 +6,9 @@ package exec
 // slice directly: comparisons touch 16 contiguous bytes, there is no
 // interface or closure call per comparison, and the pair buffer is
 // caller-owned scratch. Ties order by row index, which makes the result
-// a deterministic total order (row indices are unique) — required for
-// the scalar/vector differential tests.
+// a deterministic total order (row indices are unique) — the same order
+// at any morsel count, and the one the engine's per-row reference
+// checks exactly.
 
 // KeyRow pairs a sort key with the row it came from.
 type KeyRow struct {

@@ -99,19 +99,6 @@ func EncodeColumn(rel *Relation, name string) error {
 	return nil
 }
 
-// EncodeStrings dictionary-encodes every plain string column of rel.
-func EncodeStrings(rel *Relation) error {
-	for _, c := range rel.Schema.Columns {
-		if c.Type != StringCol {
-			continue
-		}
-		if err := EncodeColumn(rel, c.Name); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // DecodeStrings materializes the string values of a (possibly coded)
 // string vector — the round-trip check and the escape hatch for sinks
 // that need real strings.

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CI gate: static checks, build, full test suite, and the race-detector
+# CI gate: static checks, build, full test suite, the race-detector
 # pass over the concurrent packages (the live engine executes dispatch
 # rounds on real goroutines; the metrics registry is updated from
-# worker goroutines). Run from anywhere inside the repo.
+# worker goroutines), and a short fuzz of each fuzz target. Run from
+# anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,6 +31,10 @@ go test -race ./internal/engine/ ./internal/exec/ ./internal/metrics/ ./internal
 
 echo "== go test -race -run TestTrainRollouts ./internal/lsched/"
 go test -race -run TestTrainRollouts ./internal/lsched/
+
+echo "== fuzz smoke (10s per target)"
+go test -run='^$' -fuzz=FuzzDecodeRequest -fuzztime=10s ./internal/frontdoor/
+go test -run='^$' -fuzz=FuzzLiveKernels -fuzztime=10s ./internal/engine/
 
 echo "== cluster smoke (2 real nodes + coordinator over TCP, 200 queries, zero lost)"
 smokedir=$(mktemp -d)
@@ -76,7 +81,8 @@ wait "$node0_pid" "$node1_pid" 2>/dev/null || true
 echo "== bench module (vet + test: an API break against bench/ fails here, not in the benchmark run)"
 (cd bench && go vet ./... && go test ./...)
 
-echo "== non-test Go outside bench/ (the line count simplicity PRs quote in CHANGES.md)"
+echo "== non-test and _test.go Go lines outside bench/ (the counts simplicity PRs quote in CHANGES.md)"
 find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 echo "OK"
