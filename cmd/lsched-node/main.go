@@ -105,9 +105,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The rpcsched base service shares the hot slot, so remote scheduler
-	// clients and routed cluster queries see the same serving policy.
-	srv, err := rpcsched.NewServer(hot, rpcsched.ServerOptions{IOTimeout: *ioTimeout})
+	srv, err := rpcsched.NewServer(nil, rpcsched.ServerOptions{IOTimeout: *ioTimeout})
 	if err != nil {
 		log.Fatal(err)
 	}

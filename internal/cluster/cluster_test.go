@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"net"
 	"net/rpc"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/frontdoor"
-	"repro/internal/heuristics"
 	"repro/internal/rpcsched"
 )
 
@@ -297,7 +297,7 @@ func TestDrainingNodeUnroutable(t *testing.T) {
 // routed and health probed across the socket.
 func TestRPCNodeEndToEnd(t *testing.T) {
 	node := testNode(t, "tcp-node", unitSleepBackend(10*time.Microsecond))
-	srv, err := rpcsched.NewServer(heuristics.FIFO{}, rpcsched.ServerOptions{})
+	srv, err := rpcsched.NewServer(nil, rpcsched.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,16 +341,16 @@ func TestRPCNodeEndToEnd(t *testing.T) {
 	if hr.ID != "tcp-node" || hr.Completed != n {
 		t.Fatalf("health reply %+v, want ID=tcp-node completed=%d", hr, n)
 	}
-	// The server's own scheduler service still answers next to the
-	// mounted one.
+	// The node exposes nothing but ClusterNode: no remote door into its
+	// serving agent that bypasses the engine's scheduler lock.
 	rc, err := rpc.Dial("tcp", lis.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	var dec rpcsched.DecisionReply
-	if err := rc.Call("LSched.OnEvent", &rpcsched.EventRequest{}, &dec); err != nil {
-		t.Fatalf("scheduler RPC broken after node mount: %v", err)
+	var reply struct{}
+	if err := rc.Call("LSched.OnEvent", struct{}{}, &reply); err == nil || !strings.Contains(err.Error(), "can't find service") {
+		t.Fatalf("LSched.OnEvent on a served node: err %v, want net/rpc's can't find service", err)
 	}
 	st := coord.Status()
 	if st.Completed != n || st.Failed != 0 {

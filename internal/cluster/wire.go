@@ -95,8 +95,8 @@ func (n *Node) serveSubmit(req *SubmitRequest, reply *SubmitReply) {
 }
 
 // NodeRPC is the net/rpc receiver exposing a Node, mounted on an
-// rpcsched.Server via MountNode so cluster traffic shares the
-// scheduler server's connections, I/O deadlines, and shutdown drain.
+// rpcsched.Server via MountNode so cluster traffic gets the server's
+// per-connection I/O deadlines and shutdown drain.
 type NodeRPC struct {
 	n *Node
 }

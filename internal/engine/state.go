@@ -219,16 +219,11 @@ func (st *State) AppendLocalityVector(dst []float64, q *QueryState) []float64 {
 	return dst
 }
 
-// NewQueryStateForWire rebuilds a QueryState from externally transported
-// fields; the RPC scheduler bridge uses it to re-materialize engine
-// state on the scheduler side. Operator run-time state must be filled in
-// by the caller.
-func NewQueryStateForWire(id int, p *plan.Plan, arrival float64, assignedThreads int) *QueryState {
-	q := newQueryState(id, p, arrival)
-	if assignedThreads > 0 {
-		q.AssignedThreads = assignedThreads
-	}
-	return q
+// NewQueryState builds the run-time state of plan p arriving at
+// arrival, before any work order has run: the fixture for driving a
+// scheduler without an engine.
+func NewQueryState(id int, p *plan.Plan, arrival float64) *QueryState {
+	return newQueryState(id, p, arrival)
 }
 
 // newQueryState instantiates run-time state for a plan arriving now.

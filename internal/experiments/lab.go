@@ -251,18 +251,6 @@ func (l *Lab) SelfTune(b workload.Benchmark) (*selftune.Scheduler, error) {
 	return s, nil
 }
 
-// EvalRun executes one workload under one scheduler and returns the
-// run's per-query durations.
-func (l *Lab) EvalRun(s engine.Scheduler, arrivals []engine.Arrival, seed int64) (*engine.SimResult, error) {
-	sim := engine.NewSim(l.SimConfig(seed))
-	// Lifecycle-observing schedulers (agents with a flight recorder
-	// attached) get completion callbacks so records join their outcomes.
-	if o, ok := s.(engine.QueryObserver); ok {
-		sim.SetObserver(o)
-	}
-	return sim.Run(s, arrivals)
-}
-
 // EvalStats runs a scheduler over Repeats seeded workloads drawn by gen
 // and returns the pooled per-query durations plus summary statistics.
 type EvalStats struct {

@@ -43,9 +43,6 @@ func NewLearned(head *lsched.AdmissionHead) *Learned {
 	return &Learned{head: head, ShedBelow: 0.2, DeferBelow: 0.55, ReserveSlots: 1, Train: true}
 }
 
-// Head exposes the underlying admission head (checkpointing, tests).
-func (l *Learned) Head() *lsched.AdmissionHead { return l.head }
-
 // Name implements Controller.
 func (l *Learned) Name() string { return "learned" }
 

@@ -21,7 +21,7 @@ func benchState(tb testing.TB, nq, threads int) *engine.State {
 	st := &engine.State{Now: 1, Estimator: costmodel.NewEstimator(threads, 1, 1)}
 	for i := 0; i < nq; i++ {
 		p := pool.Train[i%len(pool.Train)].Clone()
-		st.Queries = append(st.Queries, engine.NewQueryStateForWire(i, p, 0, 1))
+		st.Queries = append(st.Queries, engine.NewQueryState(i, p, 0))
 	}
 	st.Threads = make([]engine.ThreadInfo, threads)
 	for i := range st.Threads {

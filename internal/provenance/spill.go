@@ -255,6 +255,9 @@ func (d *decoder) floats(n int) ([]float64, error) {
 	if n == 0 {
 		return nil, nil
 	}
+	if d.off+8*n > len(d.buf) {
+		return nil, io.ErrUnexpectedEOF
+	}
 	out := make([]float64, n)
 	for i := range out {
 		bits, err := d.u64()
@@ -289,6 +292,9 @@ func decodeRecord(d *decoder, version byte) (Record, error) {
 	if err != nil {
 		return rec, err
 	}
+	if tl > maxTenantLen {
+		return rec, fmt.Errorf("provenance: tenant length %d exceeds limit", tl)
+	}
 	if rec.Tenant, err = d.str(int(tl)); err != nil {
 		return rec, err
 	}
@@ -296,6 +302,9 @@ func decodeRecord(d *decoder, version byte) (Record, error) {
 		nl, err := d.u16()
 		if err != nil {
 			return rec, err
+		}
+		if nl > maxNodeIDLen {
+			return rec, fmt.Errorf("provenance: node ID length %d exceeds limit", nl)
 		}
 		if rec.NodeID, err = d.str(int(nl)); err != nil {
 			return rec, err

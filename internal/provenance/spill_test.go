@@ -87,11 +87,10 @@ func TestSpillNodeIDRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadAllDecodesV1Frames pins backward compatibility: traces
-// spilled before the node-ID field existed (format version 1) must
-// still load, with NodeID empty. The v1 record layout is hand-encoded
-// here — it is frozen history, not shared code.
-func TestReadAllDecodesV1Frames(t *testing.T) {
+// v1Frame hand-encodes one format-version-1 frame (no node-ID field)
+// holding a single joined admission record. The v1 layout is frozen
+// history, not shared code.
+func v1Frame() []byte {
 	var payload bytes.Buffer
 	putU32(&payload, 1) // count
 	putU64(&payload, 42)
@@ -117,15 +116,25 @@ func TestReadAllDecodesV1Frames(t *testing.T) {
 	putU64(&payload, math.Float64bits(-1.5))
 	putU32(&payload, 1)
 	putU64(&payload, math.Float64bits(0.75))
+	return frame(spillVersionV1, payload.Bytes())
+}
 
-	var frame bytes.Buffer
-	frame.Write(spillMagic[:])
-	frame.WriteByte(spillVersionV1)
-	putU32(&frame, uint32(payload.Len()))
-	putU32(&frame, crc32.ChecksumIEEE(payload.Bytes()))
-	frame.Write(payload.Bytes())
+// frame wraps payload in a frame header of the given format version.
+func frame(version byte, payload []byte) []byte {
+	var b bytes.Buffer
+	b.Write(spillMagic[:])
+	b.WriteByte(version)
+	putU32(&b, uint32(len(payload)))
+	putU32(&b, crc32.ChecksumIEEE(payload))
+	b.Write(payload)
+	return b.Bytes()
+}
 
-	got, err := ReadAll(bytes.NewReader(frame.Bytes()))
+// TestReadAllDecodesV1Frames pins backward compatibility: traces
+// spilled before the node-ID field existed (format version 1) must
+// still load, with NodeID empty.
+func TestReadAllDecodesV1Frames(t *testing.T) {
+	got, err := ReadAll(bytes.NewReader(v1Frame()))
 	if err != nil {
 		t.Fatalf("v1 frame rejected: %v", err)
 	}
@@ -281,4 +290,70 @@ func TestSpillSkipsEvictedRecords(t *testing.T) {
 	if got[0].Seq != 7 || got[3].Seq != 10 {
 		t.Fatalf("spilled seqs %d..%d, want 7..10", got[0].Seq, got[3].Seq)
 	}
+}
+
+// FuzzReadAll feeds arbitrary streams to the spill decoder: ReadAll
+// must never panic, and any stream it accepts must re-encode to a
+// stream that decodes to the same records. Each input is also read
+// with its frame lengths and CRCs rewritten to match, so mutated
+// payloads reach the record decoder instead of stopping at the CRC.
+func FuzzReadAll(f *testing.F) {
+	r := testRecorder(8)
+	r.SetNodeID("node-0")
+	var spill bytes.Buffer
+	r.AttachSink(&spill, 4)
+	r.Record(KindSchedule, 7, "", 4, []float64{math.Pi, math.Copysign(0, -1)}, []float64{0.5, math.Inf(1)}, 2, 1, 0)
+	r.Record(KindAdmit, 9, "tenant-a", 2, []float64{1}, []float64{0.25}, 0, 0, 0)
+	r.JoinOutcome(KindSchedule, 7, Outcome{LatencySecs: 0.5, DeadlineMet: true})
+	if err := r.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(spill.Bytes())
+	f.Add(v1Frame())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, sealFrames(data)} {
+			recs, err := ReadAll(bytes.NewReader(in))
+			if err != nil {
+				continue
+			}
+			// The encoding writes every field, floats as raw bits, so
+			// equal encodings mean bit-identical records.
+			first := encodeFrame(recs)
+			again, err := ReadAll(bytes.NewReader(first))
+			if err != nil {
+				t.Fatalf("re-encoded %d accepted records, then rejected them: %v", len(recs), err)
+			}
+			if second := encodeFrame(again); !bytes.Equal(first, second) {
+				t.Fatalf("%d accepted records changed across a re-encode", len(recs))
+			}
+		}
+	})
+}
+
+// encodeFrame writes recs as one current-version frame.
+func encodeFrame(recs []Record) []byte {
+	var payload bytes.Buffer
+	putU32(&payload, uint32(len(recs)))
+	for i := range recs {
+		encodeRecord(&payload, &recs[i])
+	}
+	return frame(spillVersion, payload.Bytes())
+}
+
+// sealFrames returns a copy of data in which every frame header's
+// payload length is clamped to the bytes that follow it and its CRC is
+// recomputed over that payload.
+func sealFrames(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	for off := 0; off+13 <= len(out); {
+		plen := int(binary.LittleEndian.Uint32(out[off+5:]))
+		if rest := len(out) - off - 13; plen > rest {
+			plen = rest
+			binary.LittleEndian.PutUint32(out[off+5:], uint32(plen))
+		}
+		binary.LittleEndian.PutUint32(out[off+9:], crc32.ChecksumIEEE(out[off+13:off+13+plen]))
+		off += 13 + plen
+	}
+	return out
 }

@@ -7,9 +7,9 @@ import (
 	"net/rpc"
 )
 
-// gobCodec is the standard gob wire format for net/rpc (the same frames
-// rpc.ServeConn and rpc.NewClient speak), implemented here so the
-// server can wrap it with in-flight tracking.
+// gobCodec is the standard gob wire format for net/rpc (the frames
+// rpc.Dial and rpc.NewClient speak), implemented here so the server can
+// wrap it with in-flight tracking.
 type gobCodec struct {
 	rwc io.ReadWriteCloser
 	dec *gob.Decoder

@@ -4,8 +4,6 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"repro/internal/heuristics"
 )
 
 // TestDialRetryConnectsToLateServer starts the server only after the
@@ -21,18 +19,16 @@ func TestDialRetryConnectsToLateServer(t *testing.T) {
 	addr := lis.Addr().String()
 	lis.Close()
 
-	srvUp := make(chan *Server, 1)
+	srv, _ := newTestServer(t, ServerOptions{})
+	defer srv.Close()
+	srvUp := make(chan struct{})
 	go func() {
 		time.Sleep(120 * time.Millisecond)
 		lis, err := net.Listen("tcp", addr)
 		if err != nil {
 			return // port raced away; the dial below will fail the test
 		}
-		srv, err := NewServer(heuristics.FIFO{}, ServerOptions{})
-		if err != nil {
-			return
-		}
-		srvUp <- srv
+		close(srvUp)
 		srv.Serve(lis) //nolint:errcheck
 	}()
 
@@ -42,14 +38,14 @@ func TestDialRetryConnectsToLateServer(t *testing.T) {
 	}
 	defer c.Close()
 	select {
-	case srv := <-srvUp:
-		defer srv.Close()
+	case <-srvUp:
 	case <-time.After(2 * time.Second):
 		t.Fatal("server never came up")
 	}
 	// The connection must actually work, not just connect.
-	if got := c.Name(); got != "rpc://"+addr {
-		t.Fatalf("client name = %q", got)
+	var got int
+	if err := c.Call("Test.Echo", 7, &got); err != nil || got != 7 {
+		t.Fatalf("call over the retried connection: reply %d, err %v", got, err)
 	}
 }
 

@@ -1,3 +1,13 @@
+// Package rpcsched is the cluster's transport: gob over net/rpc with
+// per-connection I/O deadlines, a graceful-shutdown drain, and a client
+// that dials with retry backoff. A cluster node mounts its ClusterNode
+// service on a Server with RegisterName; the coordinator reaches it with
+// DialRetry and Client.Call. Inflight, the server's drain counter, is
+// also how the front door and the coordinator drain their own work.
+//
+// Scheduling events never cross it: the engine and the agent share one
+// process (the paper's prototype puts its agent behind RPC only because
+// its engine is C++ and its agent is not, §7.1).
 package rpcsched
 
 import (
@@ -8,40 +18,7 @@ import (
 	"net/rpc"
 	"sync"
 	"time"
-
-	"repro/internal/engine"
 )
-
-// Service is the net/rpc receiver wrapping a local scheduler.
-type Service struct {
-	mu    sync.Mutex
-	sched engine.Scheduler
-}
-
-// NewService wraps a scheduler for remote use.
-func NewService(s engine.Scheduler) *Service {
-	return &Service{sched: s}
-}
-
-// OnEvent is the RPC method: it decodes the engine state, invokes the
-// wrapped scheduler, and returns its decisions. Calls are serialized —
-// schedulers are single-threaded by the execution model (§5.1).
-func (s *Service) OnEvent(req *EventRequest, reply *DecisionReply) error {
-	st, err := decodeState(req.State)
-	if err != nil {
-		return err
-	}
-	ev := engine.Event{
-		Kind:    engine.EventKind(req.Kind),
-		Time:    req.Time,
-		QueryID: req.QueryID,
-		OpID:    req.OpID,
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	reply.Decisions = s.sched.OnEvent(st, ev)
-	return nil
-}
 
 // ServerOptions tunes the connection-serving behavior.
 type ServerOptions struct {
@@ -66,11 +43,10 @@ type ServerOptions struct {
 // hot path.
 const DefaultWriteChunk = 32 << 10
 
-// Server answers scheduler-RPC connections with graceful shutdown and
-// optional per-connection I/O deadlines. The zero ServerOptions match
-// the historical Serve behavior (no deadlines).
+// Server answers RPC connections with graceful shutdown and optional
+// per-connection I/O deadlines. The zero ServerOptions disable the
+// deadlines.
 type Server struct {
-	svc     *Service
 	rpcSrv  *rpc.Server
 	opts    ServerOptions
 	pending Inflight
@@ -82,30 +58,27 @@ type Server struct {
 	connWG sync.WaitGroup
 }
 
-// NewServer builds a server around a local scheduler.
-func NewServer(sched engine.Scheduler, opts ServerOptions) (*Server, error) {
-	svc := NewService(sched)
-	rpcSrv := rpc.NewServer()
-	if err := rpcSrv.RegisterName("LSched", svc); err != nil {
-		return nil, err
-	}
+// NewServer builds a server with no services; mount them with
+// RegisterName. The first argument is ignored (pass nil); it stays only
+// so the benchmark module's call compiles. The error is always nil.
+func NewServer(_ any, opts ServerOptions) (*Server, error) {
 	if opts.WriteChunk <= 0 {
 		opts.WriteChunk = DefaultWriteChunk
 	}
-	return &Server{svc: svc, rpcSrv: rpcSrv, opts: opts, conns: make(map[net.Conn]struct{})}, nil
+	return &Server{rpcSrv: rpc.NewServer(), opts: opts, conns: make(map[net.Conn]struct{})}, nil
 }
 
-// RegisterName exposes an additional RPC receiver on the server, letting
-// higher layers (a cluster node) answer on the same connections
-// and inherit the graceful-shutdown drain and per-connection I/O
-// deadlines. Calls to the extra service are tracked by the same
-// in-flight counter as scheduler calls.
+// RegisterName mounts an RPC receiver (a cluster node) on the server:
+// its calls share the server's connections, per-connection I/O
+// deadlines and in-flight drain.
 func (s *Server) RegisterName(name string, rcvr any) error {
 	return s.rpcSrv.RegisterName(name, rcvr)
 }
 
-// Serve answers connections from lis until the listener closes (or
-// Shutdown/Close is called). It returns nil on a clean close.
+// Serve answers connections from lis until Shutdown or Close, then
+// returns nil. Any other Accept failure stops the loop and is returned,
+// so a caller that treats a Serve error as fatal learns that the server
+// no longer accepts connections.
 func (s *Server) Serve(lis net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -117,10 +90,15 @@ func (s *Server) Serve(lis net.Listener) error {
 	s.mu.Unlock()
 	for {
 		conn, err := lis.Accept()
-		if err != nil {
-			return nil // listener closed
-		}
 		s.mu.Lock()
+		if err != nil {
+			closed := s.closed
+			s.mu.Unlock()
+			if closed {
+				return nil
+			}
+			return err
+		}
 		if s.closed {
 			s.mu.Unlock()
 			conn.Close()
@@ -147,7 +125,7 @@ func (s *Server) Serve(lis net.Listener) error {
 }
 
 // Shutdown stops the server gracefully: the listener closes (no new
-// connections), in-flight scheduler calls are drained, and only then
+// connections), in-flight calls are drained, and only then
 // are the connections torn down. drainTimeout bounds the wait for
 // in-flight calls (<= 0 waits indefinitely); past it the connections
 // are closed anyway. It returns once every connection goroutine has
@@ -198,7 +176,7 @@ func (s *Server) Shutdown(drainTimeout time.Duration) error {
 // Close shuts down immediately: like Shutdown but without waiting for
 // in-flight calls. It still waits for the connection goroutines, which
 // exit once their calls return (closing a connection cannot cancel a
-// scheduler call already executing).
+// call already executing).
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -268,43 +246,10 @@ func (c deadlineConn) Write(p []byte) (int, error) {
 	return written, nil
 }
 
-// Serve registers the service and answers connections from lis until it
-// closes. It returns after the listener is closed. It is the
-// no-deadline convenience form of (*Server).Serve; use NewServer for
-// graceful shutdown and I/O deadlines.
-func Serve(lis net.Listener, sched engine.Scheduler) error {
-	srv, err := NewServer(sched, ServerOptions{})
-	if err != nil {
-		return err
-	}
-	return srv.Serve(lis)
-}
-
-// ServeConn answers a single connection (handy for net.Pipe tests and
-// in-process bridging).
-func ServeConn(conn io.ReadWriteCloser, sched engine.Scheduler) error {
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("LSched", NewService(sched)); err != nil {
-		return err
-	}
-	srv.ServeConn(conn)
-	return nil
-}
-
-// Client implements engine.Scheduler by forwarding every scheduling
-// event to a remote Service.
+// Client is the caller's half of the transport: one connection to a
+// Server, safe for concurrent calls.
 type Client struct {
-	name string
-	rpc  *rpc.Client
-}
-
-// Dial connects to a remote scheduler service.
-func Dial(network, address string) (*Client, error) {
-	c, err := rpc.Dial(network, address)
-	if err != nil {
-		return nil, fmt.Errorf("rpcsched: dial: %w", err)
-	}
-	return &Client{name: "rpc://" + address, rpc: c}, nil
+	rpc *rpc.Client
 }
 
 // RetryOptions tunes DialRetry's backoff schedule. The zero value
@@ -360,46 +305,17 @@ func DialRetry(network, address string, opts RetryOptions) (*Client, error) {
 		}
 		c, err := rpc.Dial(network, address)
 		if err == nil {
-			return &Client{name: "rpc://" + address, rpc: c}, nil
+			return &Client{rpc: c}, nil
 		}
 		lastErr = err
 	}
 	return nil, fmt.Errorf("rpcsched: dial %s (after %d attempts): %w", address, o.Attempts, lastErr)
 }
 
-// Call invokes an arbitrary service method on the connection — the
-// scheduler server multiplexes extra receivers (cluster nodes) onto the
-// same connections via RegisterName, and this is the client half of
-// that arrangement.
+// Call invokes a method of a service mounted on the server with
+// RegisterName ("ClusterNode.Submit").
 func (c *Client) Call(serviceMethod string, args, reply any) error {
 	return c.rpc.Call(serviceMethod, args, reply)
-}
-
-// NewClientConn builds a client over an existing connection.
-func NewClientConn(conn io.ReadWriteCloser) *Client {
-	return &Client{name: "rpc://conn", rpc: rpc.NewClient(conn)}
-}
-
-// Name implements engine.Scheduler.
-func (c *Client) Name() string { return c.name }
-
-// OnEvent implements engine.Scheduler. RPC failures surface as "no
-// decisions": the engine keeps running with its previous grants, which
-// is the same degraded mode the paper's prototype has when the agent
-// process is unreachable.
-func (c *Client) OnEvent(st *engine.State, ev engine.Event) []engine.Decision {
-	req := &EventRequest{
-		Kind:    int(ev.Kind),
-		Time:    ev.Time,
-		QueryID: ev.QueryID,
-		OpID:    ev.OpID,
-		State:   encodeState(st),
-	}
-	var reply DecisionReply
-	if err := c.rpc.Call("LSched.OnEvent", req, &reply); err != nil {
-		return nil
-	}
-	return reply.Decisions
 }
 
 // Close tears down the connection.

@@ -1,165 +1,81 @@
 package rpcsched
 
 import (
-	"math/rand"
+	"errors"
 	"net"
+	"syscall"
 	"testing"
-
-	"repro/internal/engine"
-	"repro/internal/heuristics"
-	"repro/internal/lsched"
-	"repro/internal/workload"
 )
 
-func testWorkload(t *testing.T, n int) []engine.Arrival {
+// testService is the receiver the transport tests mount with
+// RegisterName: Echo answers at once, Park holds its call in flight
+// until released, and Bulk replies with n bytes, which the gob codec
+// flushes as one large write.
+type testService struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *testService) Echo(x int, reply *int) error {
+	*reply = x
+	return nil
+}
+
+func (s *testService) Park(_ int, reply *int) error {
+	s.entered <- struct{}{}
+	<-s.release
+	return nil
+}
+
+func (s *testService) Bulk(n int, reply *[]byte) error {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i % 251)
+	}
+	*reply = b
+	return nil
+}
+
+// newTestServer builds a server with a testService mounted as "Test".
+func newTestServer(t *testing.T, opts ServerOptions) (*Server, *testService) {
 	t.Helper()
-	pool, err := workload.NewPool(workload.BenchSSB, 31)
+	srv, err := NewServer(nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(31))
-	return workload.Streaming(pool.Train, n, 0.5, rng)
-}
-
-// runOverPipe drives a workload with the scheduler living on the far
-// side of a net.Pipe connection.
-func runOverPipe(t *testing.T, remote engine.Scheduler, arrivals []engine.Arrival) *engine.SimResult {
-	t.Helper()
-	serverConn, clientConn := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if err := ServeConn(serverConn, remote); err != nil {
-			t.Errorf("serve: %v", err)
-		}
-	}()
-	client := NewClientConn(clientConn)
-	defer func() {
-		client.Close()
-		<-done
-	}()
-	sim := engine.NewSim(engine.SimConfig{Threads: 6, Seed: 31, NoiseFrac: 0.1})
-	res, err := sim.Run(client, arrivals)
-	if err != nil {
+	svc := &testService{entered: make(chan struct{}), release: make(chan struct{})}
+	if err := srv.RegisterName("Test", svc); err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return srv, svc
 }
 
-func TestRemoteHeuristicMatchesLocal(t *testing.T) {
-	arrivals := testWorkload(t, 6)
-	remote := runOverPipe(t, heuristics.Fair{}, cloneArrivals(arrivals))
-
-	sim := engine.NewSim(engine.SimConfig{Threads: 6, Seed: 31, NoiseFrac: 0.1})
-	local, err := sim.Run(heuristics.Fair{}, cloneArrivals(arrivals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A deterministic heuristic must take identical decisions whether it
-	// is co-located or behind RPC, because the wire form carries the
-	// full scheduler-visible state.
-	if remote.Makespan != local.Makespan {
-		t.Fatalf("remote makespan %v != local %v", remote.Makespan, local.Makespan)
-	}
-	for id := range local.Durations {
-		if remote.Durations[id] != local.Durations[id] {
-			t.Fatalf("query %d: remote %v, local %v", id, remote.Durations[id], local.Durations[id])
-		}
-	}
+// acceptErrListener fails its first Accept with err, then hands out the
+// pipe listener's connections.
+type acceptErrListener struct {
+	*pipeListener
+	err error
 }
 
-func TestRemoteLSchedAgentSchedules(t *testing.T) {
-	agent := lsched.New(lsched.DefaultOptions(31))
-	agent.SetGreedy(true)
-	res := runOverPipe(t, agent, testWorkload(t, 5))
-	if len(res.Durations) != 5 {
-		t.Fatalf("remote agent completed %d of 5", len(res.Durations))
+func (l *acceptErrListener) Accept() (net.Conn, error) {
+	if err := l.err; err != nil {
+		l.err = nil
+		return nil, err
 	}
-	if res.SchedActions == 0 {
-		t.Fatal("remote agent took no actions")
-	}
+	return l.pipeListener.Accept()
 }
 
-func TestWireRoundTripPreservesState(t *testing.T) {
-	// Capture a mid-execution state in wire form, decode it, and
-	// compare the scheduler-visible views. The snapshot is taken while
-	// queries are mid-flight (some operators active, some done).
-	var ws WireState
-	var wantQueries int
-	var wantRoots []int
-	capture := captureSched{onState: func(st *engine.State) {
-		if wantQueries == 0 && len(st.Queries) >= 2 {
-			ws = encodeState(st)
-			wantQueries = len(st.Queries)
-			for _, q := range st.Queries {
-				wantRoots = append(wantRoots, len(q.SchedulableRoots()))
-			}
-		}
-	}}
-	sim := engine.NewSim(engine.SimConfig{Threads: 4, Seed: 7})
-	if _, err := sim.Run(capture, testWorkload(t, 3)); err != nil {
-		t.Fatal(err)
+// TestServeReturnsAcceptError: an Accept failure that is not a shutdown
+// (here EMFILE) must end Serve with that error, not a nil that reads as
+// a clean close while the server has stopped accepting connections.
+func TestServeReturnsAcceptError(t *testing.T) {
+	srv, _ := newTestServer(t, ServerOptions{})
+	t.Cleanup(func() { srv.Close() })
+	lis := &acceptErrListener{
+		pipeListener: newPipeListener(),
+		err:          &net.OpError{Op: "accept", Net: "tcp", Err: syscall.EMFILE},
 	}
-	if wantQueries == 0 {
-		t.Fatal("never saw two concurrent queries; enlarge the workload")
-	}
-	decoded, err := decodeState(ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded.Queries) != wantQueries {
-		t.Fatalf("decoded %d queries, want %d", len(decoded.Queries), wantQueries)
-	}
-	for i, dq := range decoded.Queries {
-		if got := len(dq.SchedulableRoots()); got != wantRoots[i] {
-			t.Fatalf("query %d: %d schedulable roots after round trip, want %d", i, got, wantRoots[i])
-		}
-		if dq.Plan.NumOps() != len(ws.Queries[i].Ops) {
-			t.Fatalf("query %d plan shape mismatch", i)
-		}
-	}
-	if len(decoded.Threads) != len(ws.Threads) {
-		t.Fatal("thread pool mismatch")
-	}
-}
-
-type captureSched struct {
-	onState func(*engine.State)
-}
-
-func (captureSched) Name() string { return "capture" }
-func (c captureSched) OnEvent(st *engine.State, ev engine.Event) []engine.Decision {
-	c.onState(st)
-	return heuristics.Fair{}.OnEvent(st, ev)
-}
-
-func cloneArrivals(in []engine.Arrival) []engine.Arrival {
-	out := make([]engine.Arrival, len(in))
-	for i, a := range in {
-		out[i] = engine.Arrival{Plan: a.Plan.Clone(), At: a.At}
-	}
-	return out
-}
-
-func TestDialTCP(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("no loopback networking: %v", err)
-	}
-	go Serve(lis, heuristics.Quickstep{})
-	defer lis.Close()
-
-	client, err := Dial("tcp", lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	sim := engine.NewSim(engine.SimConfig{Threads: 4, Seed: 9})
-	res, err := sim.Run(client, testWorkload(t, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Durations) != 4 {
-		t.Fatalf("completed %d of 4 over TCP", len(res.Durations))
+	if err := srv.Serve(lis); !errors.Is(err, syscall.EMFILE) {
+		t.Fatalf("Serve after a failed Accept returned %v, want EMFILE", err)
 	}
 }

@@ -6,18 +6,13 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/engine"
-	"repro/internal/heuristics"
 )
 
-// startServer listens on loopback and serves sched until cleanup.
-func startServer(t *testing.T, sched engine.Scheduler, opts ServerOptions) (*Server, string, chan error) {
+// startServer listens on loopback and serves a testService until
+// cleanup.
+func startServer(t *testing.T, opts ServerOptions) (*Server, *testService, string, chan error) {
 	t.Helper()
-	srv, err := NewServer(sched, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, svc := newTestServer(t, opts)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Skipf("no loopback networking: %v", err)
@@ -25,7 +20,7 @@ func startServer(t *testing.T, sched engine.Scheduler, opts ServerOptions) (*Ser
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(lis) }()
 	t.Cleanup(func() { srv.Close() })
-	return srv, lis.Addr().String(), serveDone
+	return srv, svc, lis.Addr().String(), serveDone
 }
 
 // TestDeadConnectionTimesOut is the satellite requirement: a client that
@@ -33,7 +28,7 @@ func startServer(t *testing.T, sched engine.Scheduler, opts ServerOptions) (*Ser
 // per-connection I/O deadline instead of wedging a server goroutine.
 func TestDeadConnectionTimesOut(t *testing.T) {
 	const ioTimeout = 150 * time.Millisecond
-	_, addr, _ := startServer(t, heuristics.Fair{}, ServerOptions{IOTimeout: ioTimeout})
+	_, _, addr, _ := startServer(t, ServerOptions{IOTimeout: ioTimeout})
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -61,42 +56,26 @@ func TestDeadConnectionTimesOut(t *testing.T) {
 		t.Fatalf("dead connection closed after %v; deadline is %v", elapsed, ioTimeout)
 	}
 
-	// The service itself is unharmed: a healthy client still schedules.
-	client, err := Dial("tcp", addr)
+	// The service itself is unharmed: a healthy client still gets
+	// answers.
+	rc, err := rpc.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
-	sim := engine.NewSim(engine.SimConfig{Threads: 4, Seed: 9})
-	res, err := sim.Run(client, testWorkload(t, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Durations) != 3 {
-		t.Fatalf("completed %d of 3 after dead-connection reap", len(res.Durations))
+	defer rc.Close()
+	for i := 1; i <= 3; i++ {
+		var got int
+		if err := rc.Call("Test.Echo", i, &got); err != nil || got != i {
+			t.Fatalf("call %d after dead-connection reap: reply %d, err %v", i, got, err)
+		}
 	}
 }
 
-// gate is a scheduler that parks inside OnEvent until released, to pin
-// a call in flight across a shutdown.
-type gate struct {
-	entered chan struct{}
-	release chan struct{}
-}
-
-func (gate) Name() string { return "gate" }
-func (g gate) OnEvent(st *engine.State, ev engine.Event) []engine.Decision {
-	g.entered <- struct{}{}
-	<-g.release
-	return nil
-}
-
-// TestShutdownDrainsInFlight holds a call open inside the scheduler,
+// TestShutdownDrainsInFlight holds a call open inside the receiver,
 // shuts down concurrently, and asserts the shutdown waits for the call
 // and the caller still receives its reply.
 func TestShutdownDrainsInFlight(t *testing.T) {
-	sched := gate{entered: make(chan struct{}), release: make(chan struct{})}
-	srv, addr, serveDone := startServer(t, sched, ServerOptions{})
+	srv, svc, addr, serveDone := startServer(t, ServerOptions{})
 
 	rc, err := rpc.Dial("tcp", addr)
 	if err != nil {
@@ -105,10 +84,10 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	defer rc.Close()
 	callDone := make(chan error, 1)
 	go func() {
-		var reply DecisionReply
-		callDone <- rc.Call("LSched.OnEvent", &EventRequest{}, &reply)
+		var reply int
+		callDone <- rc.Call("Test.Park", 0, &reply)
 	}()
-	<-sched.entered // the call is now in flight server-side
+	<-svc.entered // the call is now in flight server-side
 
 	shutDone := make(chan struct{})
 	go func() {
@@ -121,7 +100,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 
-	close(sched.release)
+	close(svc.release)
 	if err := <-callDone; err != nil {
 		t.Fatalf("in-flight call failed during graceful shutdown: %v", err)
 	}
@@ -148,9 +127,8 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 // TestShutdownDrainTimeout: a call that never finishes must not hold
 // Shutdown hostage past the drain budget.
 func TestShutdownDrainTimeout(t *testing.T) {
-	sched := gate{entered: make(chan struct{}), release: make(chan struct{})}
-	srv, addr, _ := startServer(t, sched, ServerOptions{})
-	defer close(sched.release) // unstick the parked handler at test end
+	srv, svc, addr, _ := startServer(t, ServerOptions{})
+	defer close(svc.release) // unstick the parked handler at test end
 
 	rc, err := rpc.Dial("tcp", addr)
 	if err != nil {
@@ -158,10 +136,10 @@ func TestShutdownDrainTimeout(t *testing.T) {
 	}
 	defer rc.Close()
 	go func() {
-		var reply DecisionReply
-		rc.Call("LSched.OnEvent", &EventRequest{}, &reply)
+		var reply int
+		rc.Call("Test.Park", 0, &reply)
 	}()
-	<-sched.entered
+	<-svc.entered
 
 	start := time.Now()
 	if err := srv.Shutdown(100 * time.Millisecond); err != nil {
@@ -170,19 +148,6 @@ func TestShutdownDrainTimeout(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("Shutdown took %v despite a 100ms drain budget", elapsed)
 	}
-}
-
-// bigReply answers every event with a large decision list, so the gob
-// response flushes as one multi-hundred-KB write.
-type bigReply struct{ n int }
-
-func (bigReply) Name() string { return "big" }
-func (b bigReply) OnEvent(st *engine.State, ev engine.Event) []engine.Decision {
-	ds := make([]engine.Decision, b.n)
-	for i := range ds {
-		ds[i] = engine.Decision{QueryID: i, RootOpID: i % 257, PipelineDepth: i % 5, Threads: i % 31}
-	}
-	return ds
 }
 
 // pipeListener hands out pre-made in-memory connections: net.Pipe is
@@ -239,29 +204,26 @@ func (t *throttledConn) Read(p []byte) (int, error) {
 // server killed the connection mid-drain.
 func TestSlowButLiveClientSurvivesLargeResponse(t *testing.T) {
 	const ioTimeout = 200 * time.Millisecond
-	const decisions = 40000 // ~500 KB of gob on the wire
+	const size = 512 << 10 // one ~500 KB gob response
 
-	srv, err := NewServer(bigReply{n: decisions}, ServerOptions{IOTimeout: ioTimeout})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, _ := newTestServer(t, ServerOptions{IOTimeout: ioTimeout})
 	srvConn, cliConn := net.Pipe()
 	go srv.Serve(newPipeListener(srvConn)) //nolint:errcheck
 	t.Cleanup(func() { srv.Close() })
 
 	// ~800 KB/s: the full response takes several IOTimeout windows, but
 	// every individual write chunk drains well within one.
-	client := NewClientConn(&throttledConn{Conn: cliConn, chunk: 8 << 10, pause: 10 * time.Millisecond})
+	client := rpc.NewClient(&throttledConn{Conn: cliConn, chunk: 8 << 10, pause: 10 * time.Millisecond})
 	defer client.Close()
 
 	start := time.Now()
-	var reply DecisionReply
-	if err := client.rpc.Call("LSched.OnEvent", &EventRequest{}, &reply); err != nil {
+	var reply []byte
+	if err := client.Call("Test.Bulk", size, &reply); err != nil {
 		t.Fatalf("slow-but-live client was cut off mid-response: %v", err)
 	}
 	elapsed := time.Since(start)
-	if len(reply.Decisions) != decisions {
-		t.Fatalf("got %d decisions, want %d", len(reply.Decisions), decisions)
+	if len(reply) != size {
+		t.Fatalf("got %d bytes, want %d", len(reply), size)
 	}
 	if elapsed < ioTimeout {
 		t.Logf("transfer finished in %v (< one %v deadline window); throttle too weak to exercise the re-arm path", elapsed, ioTimeout)

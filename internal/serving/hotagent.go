@@ -86,12 +86,6 @@ func (h *HotAgent) Install(sched engine.Scheduler, version int) {
 	h.mSwaps.Inc()
 }
 
-// Current returns the serving scheduler and its store version.
-func (h *HotAgent) Current() (engine.Scheduler, int) {
-	s := h.cur.Load()
-	return s.sched, s.version
-}
-
 // ActiveVersion returns the store version of the serving policy.
 func (h *HotAgent) ActiveVersion() int { return h.cur.Load().version }
 

@@ -35,6 +35,7 @@ go test -race -run TestTrainRollouts ./internal/lsched/
 echo "== fuzz smoke (10s per target)"
 go test -run='^$' -fuzz=FuzzDecodeRequest -fuzztime=10s ./internal/frontdoor/
 go test -run='^$' -fuzz=FuzzLiveKernels -fuzztime=10s ./internal/engine/
+go test -run='^$' -fuzz=FuzzReadAll -fuzztime=10s ./internal/provenance/
 
 echo "== cluster smoke (2 real nodes + coordinator over TCP, 200 queries, zero lost)"
 smokedir=$(mktemp -d)
