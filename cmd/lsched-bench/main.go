@@ -5,8 +5,7 @@
 //
 //	lsched-bench -fig 8              # one figure at quick scale
 //	lsched-bench -fig all -scale paper
-//	lsched-bench -fig 8 -metrics     # JSON metrics+trace snapshot at exit
-//	lsched-bench -fig 8 -metrics -metrics-format text
+//	lsched-bench -fig 8 -metrics     # Prometheus text of the registry at exit
 //	lsched-bench -fig all -listen :9090         # watch the run live
 //	lsched-bench -fig 8 -trace-out fig8.trace   # Perfetto span export
 //	lsched-bench -fig 8 -store ./policies -policy latest   # eval a stored policy
@@ -33,20 +32,14 @@ func main() {
 	scale := flag.String("scale", "quick", "experiment scale: quick or paper")
 	seed := flag.Int64("seed", 1, "experiment seed")
 	rollouts := flag.Int("rollouts", 1, "training episodes collected concurrently per policy update (1 = sequential)")
-	withMetrics := flag.Bool("metrics", false, "instrument evaluation runs and print a metrics+trace snapshot at exit")
-	metricsFormat := flag.String("metrics-format", "json", "snapshot format: json or text")
+	withMetrics := flag.Bool("metrics", false, "instrument evaluation runs and print the registry as Prometheus text at exit")
 	traceCap := flag.Int("trace-cap", metrics.DefaultTraceCapacity, "trace ring-buffer capacity (last N events retained)")
-	listen := flag.String("listen", "", "serve live observability endpoints (/metrics, /metrics.json, /trace, /queries, /timeseries, /debug/pprof/) on this address during the run, e.g. :9090")
+	listen := flag.String("listen", "", "serve live observability endpoints (/metrics, /trace.chrome, /debug/pprof/, ...) on this address during the run, e.g. :9090")
 	traceOut := flag.String("trace-out", "", "write the trace as Chrome trace-event JSON to this file at exit (load in Perfetto / chrome://tracing)")
-	timeseriesOut := flag.String("timeseries-out", "", "write the wall-clock sampler's time series JSON to this file at exit")
 	storeDir := flag.String("store", "", "policy store directory (with -policy)")
 	policy := flag.String("policy", "", "evaluate this stored policy version (a number or \"latest\") as the LSched agent instead of training one; requires -store")
 	provOut := flag.String("provenance-out", "", "record evaluation-run scheduling decisions (features, scores, joined outcomes) to this trace file")
 	flag.Parse()
-	if *metricsFormat != "json" && *metricsFormat != "text" {
-		fmt.Fprintf(os.Stderr, "unknown metrics format %q (json or text)\n", *metricsFormat)
-		os.Exit(2)
-	}
 
 	var sc experiments.Scale
 	switch *scale {
@@ -60,7 +53,7 @@ func main() {
 	}
 	sc.Rollouts = *rollouts
 	lab := experiments.NewLab(sc, *seed)
-	if *withMetrics || *listen != "" || *traceOut != "" || *timeseriesOut != "" {
+	if *withMetrics || *listen != "" || *traceOut != "" {
 		lab.Metrics = metrics.NewRegistry()
 		lab.Trace = metrics.NewTracer(*traceCap)
 		// A live observer wants the long training phases visible too,
@@ -80,7 +73,6 @@ func main() {
 		lab.Provenance.AttachSink(f, 256)
 	}
 	var srv *obs.Server
-	var sampler *obs.Sampler
 	if *listen != "" {
 		srv = obs.NewServer(obs.Options{Metrics: lab.Metrics, Trace: lab.Trace})
 		addr, err := srv.Start(*listen)
@@ -88,12 +80,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		sampler = srv.Sampler()
-		fmt.Fprintf(os.Stderr, "observability: serving http://%s/ (metrics, trace, queries, timeseries, pprof)\n", addr)
-	} else if *timeseriesOut != "" {
-		// Sample without serving, so the dump works headless.
-		sampler = obs.NewSampler(lab.Metrics, 0, 0)
-		sampler.Start()
+		fmt.Fprintf(os.Stderr, "observability: serving http://%s/\n", addr)
 	}
 
 	if *policy != "" {
@@ -119,24 +106,15 @@ func main() {
 		}
 		fmt.Printf("-- figure %s regenerated in %v --\n\n", f, time.Since(start).Round(time.Millisecond))
 	}
-	if *timeseriesOut != "" {
-		sampler.Poll() // capture the final state before dumping
-		if err := sampler.WriteFile(*timeseriesOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "observability: wrote time series to %s\n", *timeseriesOut)
-	}
 	if srv != nil {
 		srv.Close()
-	} else if sampler != nil {
-		sampler.Stop()
 	}
 	if *traceOut != "" {
-		if err := writeChromeTrace(*traceOut, lab.Trace); err != nil {
+		if err := obs.WriteChromeTrace(*traceOut, lab.Trace); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		fmt.Fprintf(os.Stderr, "observability: wrote trace to %s (open in Perfetto)\n", *traceOut)
 	}
 	if provFile != nil {
 		if err := lab.Provenance.Flush(); err != nil {
@@ -152,10 +130,7 @@ func main() {
 			ps.Recorded, ps.Joined, *provOut)
 	}
 	if *withMetrics {
-		if err := printExport(lab.Metrics, lab.Trace, *metricsFormat); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		obs.WritePrometheus(os.Stdout, lab.Metrics.Snapshot())
 	}
 }
 
@@ -194,36 +169,5 @@ func installStoredPolicy(lab *experiments.Lab, storeDir, version string, seed in
 	}
 	fmt.Fprintf(os.Stderr, "policy store: evaluating v%d from %s (source %q)\n",
 		ck.Manifest.Version, storeDir, ck.Manifest.Source)
-	return nil
-}
-
-// writeChromeTrace exports the trace ring as a Chrome trace-event file.
-func writeChromeTrace(path string, tr *metrics.Tracer) error {
-	events := tr.Events()
-	data, err := obs.ChromeTraceJSON(events)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "observability: wrote %d trace events to %s (open in Perfetto)\n", len(events), path)
-	return nil
-}
-
-// printExport dumps the run's metrics and trace in the chosen format
-// (main has already rejected anything but json and text).
-func printExport(reg *metrics.Registry, tr *metrics.Tracer, format string) error {
-	exp := metrics.NewExport(reg, tr)
-	switch format {
-	case "json":
-		data, err := exp.JSON()
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(data))
-	case "text":
-		fmt.Print(exp.Text())
-	}
 	return nil
 }

@@ -6,7 +6,7 @@
 //
 //	lsched-demo -bench ssb -queries 6 -sched quickstep
 //	lsched-demo -bench tpch -queries 8 -sched lsched -model tpch.model
-//	lsched-demo -bench ssb -queries 6 -metrics          # snapshot at exit
+//	lsched-demo -bench ssb -queries 6 -metrics          # Prometheus text at exit
 //	lsched-demo -bench ssb -queries 6 -listen :9090     # live endpoints
 //	lsched-demo -bench ssb -queries 6 -trace-out demo.trace
 package main
@@ -62,14 +62,10 @@ func main() {
 	schedName := flag.String("sched", "quickstep", "scheduler: lsched, fifo, fair, quickstep, criticalpath")
 	model := flag.String("model", "", "checkpoint for -sched lsched (untrained if omitted)")
 	seed := flag.Int64("seed", 1, "seed")
-	withMetrics := flag.Bool("metrics", false, "instrument the run and print a metrics+trace snapshot at exit")
-	metricsFormat := flag.String("metrics-format", "text", "snapshot format: json or text")
-	listen := flag.String("listen", "", "serve live observability endpoints (/metrics, /metrics.json, /trace, /queries, /timeseries, /debug/pprof/) on this address during the run, e.g. :9090")
+	withMetrics := flag.Bool("metrics", false, "instrument the run and print the registry as Prometheus text at exit")
+	listen := flag.String("listen", "", "serve live observability endpoints (/metrics, /trace.chrome, /debug/pprof/, ...) on this address during the run, e.g. :9090")
 	traceOut := flag.String("trace-out", "", "write the run's trace as Chrome trace-event JSON to this file at exit (load in Perfetto / chrome://tracing)")
 	flag.Parse()
-	if *metricsFormat != "json" && *metricsFormat != "text" {
-		log.Fatalf("unknown metrics format %q (json or text)", *metricsFormat)
-	}
 
 	pool, err := workload.NewPool(workload.Benchmark(*bench), *seed)
 	if err != nil {
@@ -120,7 +116,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "observability: serving http://%s/ (metrics, trace, queries, timeseries, pprof)\n", addr)
+		fmt.Fprintf(os.Stderr, "observability: serving http://%s/\n", addr)
 	}
 	sim := engine.NewSim(simCfg)
 	tr := &tracer{inner: sched}
@@ -142,26 +138,13 @@ func main() {
 		fmt.Printf("  query %-3d duration %10.2f\n", id, res.Durations[id])
 	}
 	if *traceOut != "" {
-		data, err := obs.ChromeTraceJSON(simCfg.Trace.Events())
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*traceOut, data, 0o644); err != nil {
+		if err := obs.WriteChromeTrace(*traceOut, simCfg.Trace); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "observability: wrote trace to %s (open in Perfetto)\n", *traceOut)
 	}
 	if *withMetrics {
-		exp := metrics.NewExport(simCfg.Metrics, simCfg.Trace)
-		switch *metricsFormat {
-		case "json":
-			data, err := exp.JSON()
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("\n%s\n", data)
-		case "text":
-			fmt.Printf("\n%s", exp.Text())
-		}
+		fmt.Println()
+		obs.WritePrometheus(os.Stdout, simCfg.Metrics.Snapshot())
 	}
 }

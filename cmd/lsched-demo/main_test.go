@@ -7,26 +7,24 @@ import (
 	"testing"
 )
 
-// TestMetricsFormatRejectedBeforeRun re-executes the test binary as
-// lsched-demo with an unknown -metrics-format and requires it to fail
-// before the run prints anything: a bad flag must not cost a full run.
-func TestMetricsFormatRejectedBeforeRun(t *testing.T) {
+// TestMetricsPrintsPrometheus re-executes the test binary as
+// lsched-demo -metrics and requires the registry, rendered as
+// Prometheus text, to follow the run's summary on stdout.
+func TestMetricsPrintsPrometheus(t *testing.T) {
 	if os.Getenv("LSCHED_RUN_MAIN") == "1" {
-		os.Args = []string{"lsched-demo", "-metrics", "-metrics-format", "yaml"}
+		os.Args = []string{"lsched-demo", "-bench", "ssb", "-queries", "2", "-metrics"}
 		main()
 		return
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestMetricsFormatRejectedBeforeRun$")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestMetricsPrintsPrometheus$")
 	cmd.Env = append(os.Environ(), "LSCHED_RUN_MAIN=1")
-	var stdout, stderr strings.Builder
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Run(); err == nil {
-		t.Fatal("unknown -metrics-format was accepted")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("lsched-demo -metrics: %v\n%s", err, out)
 	}
-	if !strings.Contains(stderr.String(), "unknown metrics format") {
-		t.Fatalf("stderr does not name the bad flag: %q", stderr.String())
-	}
-	if stdout.Len() != 0 {
-		t.Fatalf("the run started before the flag was rejected; stdout: %q", stdout.String())
+	summary := strings.Index(string(out), "queries completed")
+	family := strings.Index(string(out), "# TYPE engine_workorders_completed counter")
+	if summary < 0 || family < summary {
+		t.Fatalf("want the run summary followed by the Prometheus exposition; stdout:\n%s", out)
 	}
 }

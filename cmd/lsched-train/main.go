@@ -41,7 +41,7 @@ func main() {
 	storeEvery := flag.Int("store-every", 0, "with -store, publish an interim version every N episodes (0 = final only)")
 	transferFrom := flag.String("transfer-from", "", "warm-start from this checkpoint with inner layers frozen")
 	baseline := flag.Bool("decima", false, "train the Decima baseline instead of LSched")
-	listen := flag.String("listen", "", "serve live observability endpoints (/metrics, /metrics.json, /trace, /queries, /timeseries, /debug/pprof/) on this address during training, e.g. :9090")
+	listen := flag.String("listen", "", "serve live observability endpoints (/metrics, /trace.chrome, /policy, /debug/pprof/, ...) on this address during training, e.g. :9090")
 	traceOut := flag.String("trace-out", "", "write the training trace tail as Chrome trace-event JSON to this file at exit (load in Perfetto / chrome://tracing)")
 	traceCap := flag.Int("trace-cap", metrics.DefaultTraceCapacity, "trace ring-buffer capacity (last N events retained)")
 	flag.Parse()
@@ -109,7 +109,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "observability: serving http://%s/ (metrics, trace, queries, timeseries, pprof)\n", addr)
+		fmt.Fprintf(os.Stderr, "observability: serving http://%s/\n", addr)
 	}
 	nq := *queries
 	cfg.Workload = func(ep int, rng *rand.Rand) []engine.Arrival {
@@ -156,11 +156,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *traceOut != "" {
-		data, err := obs.ChromeTraceJSON(tr.Events())
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*traceOut, data, 0o644); err != nil {
+		if err := obs.WriteChromeTrace(*traceOut, tr); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "observability: wrote trace to %s (open in Perfetto)\n", *traceOut)

@@ -625,8 +625,8 @@ func (s *Sim) dispatch() {
 	}
 	s.batchBuf = batch
 	// Refresh the occupancy gauge after assignment: the values set at
-	// scheduler invocation are pre-dispatch, so a wall-clock sampler
-	// reading between events would otherwise always see the pool as
+	// scheduler invocation are pre-dispatch, so a /metrics scrape
+	// landing between events would otherwise always see the pool as
 	// free even while every thread is busy.
 	s.instr.freeThreads.Set(float64(s.state.FreeThreads()))
 	if s.afterDispatch != nil {

@@ -58,7 +58,8 @@ type Lab struct {
 	// Metrics and Trace, when set, are threaded into every evaluation
 	// run's SimConfig (training runs stay un-instrumented: they execute
 	// thousands of episodes and would drown the trace). The CLI's
-	// -metrics flag populates them and prints the export at exit.
+	// -metrics flag populates them and prints the registry as
+	// Prometheus text at exit; -trace-out writes the trace.
 	Metrics *metrics.Registry
 	Trace   *metrics.Tracer
 

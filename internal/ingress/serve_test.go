@@ -50,8 +50,9 @@ func waitMatch(t *testing.T, logs *syncBuffer, re string) string {
 
 // TestServeCoordinatorIngress drives Serve as cmd/lsched-cluster does (a
 // backend plus a Cluster status source) over real sockets: the query is
-// admitted, the flight recorder, drift and SLO endpoints answer on the
-// obs address, /healthz names the cluster engine, and cancelling ctx
+// admitted, the flight recorder, drift, SLO and metrics endpoints
+// answer on the obs address (with no engine_ series: a coordinator has
+// no engine), /healthz names the cluster engine, and cancelling ctx
 // drains and logs conservation and a fully joined provenance count.
 func TestServeCoordinatorIngress(t *testing.T) {
 	var logs syncBuffer
@@ -82,6 +83,7 @@ func TestServeCoordinatorIngress(t *testing.T) {
 	}
 	for path, want := range map[string]string{
 		"/decisions": "acme", "/drift": "{", "/slo": "acme", "/cluster": "nodes", "/healthz": `"cluster"`,
+		"/metrics": "frontdoor_",
 	} {
 		resp, err := http.Get(obsURL + path)
 		if err != nil {
@@ -91,6 +93,14 @@ func TestServeCoordinatorIngress(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK || !strings.Contains(string(got), want) {
 			t.Errorf("GET %s: %d, want 200 containing %q:\n%s", path, resp.StatusCode, want, got)
+		}
+		// A coordinator has no engine, so it must export no engine series.
+		if path == "/metrics" {
+			for _, line := range strings.Split(string(got), "\n") {
+				if strings.HasPrefix(line, "engine_") || strings.HasPrefix(line, "# TYPE engine_") {
+					t.Errorf("coordinator /metrics exports an engine series: %q", line)
+				}
+			}
 		}
 	}
 

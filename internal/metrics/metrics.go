@@ -21,11 +21,8 @@
 package metrics
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -139,9 +136,6 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
 	}
-	s.P50 = s.Quantile(0.50)
-	s.P95 = s.Quantile(0.95)
-	s.P99 = s.Quantile(0.99)
 	return s
 }
 
@@ -303,79 +297,24 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 // one more entry than Bounds; the extra final entry is the overflow
 // bucket (observations above the last bound).
 type HistogramSnapshot struct {
-	Count  int64     `json:"count"`
-	Sum    float64   `json:"sum"`
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"`
-	// P50/P95/P99 are bucket-interpolated quantile estimates (see
-	// Quantile), precomputed at snapshot time for the exports.
-	P50 float64 `json:"p50,omitempty"`
-	P95 float64 `json:"p95,omitempty"`
-	P99 float64 `json:"p99,omitempty"`
+	Count  int64
+	Sum    float64
+	Bounds []float64
+	Counts []int64
 }
 
-// Mean returns the mean observation (0 when empty).
-func (h HistogramSnapshot) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) by locating the bucket
-// the rank falls in and interpolating linearly within it — the same
-// estimate Prometheus's histogram_quantile computes. The first bucket
-// interpolates from 0 (or from its bound when that bound is negative);
-// ranks landing in the overflow bucket return the last bound, the
-// largest value the histogram can still attribute.
-func (h HistogramSnapshot) Quantile(q float64) float64 {
-	if h.Count == 0 || len(h.Counts) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.Count)
-	var cum int64
-	for i, c := range h.Counts {
-		prev := float64(cum)
-		cum += c
-		if c == 0 || float64(cum) < rank {
-			continue
-		}
-		if i >= len(h.Bounds) {
-			// Overflow bucket: no finite upper bound to interpolate toward.
-			if len(h.Bounds) == 0 {
-				return 0
-			}
-			return h.Bounds[len(h.Bounds)-1]
-		}
-		upper := h.Bounds[i]
-		lower := 0.0
-		if i > 0 {
-			lower = h.Bounds[i-1]
-		} else if upper <= 0 {
-			lower = upper
-		}
-		return lower + (upper-lower)*(rank-prev)/float64(c)
-	}
-	return h.Bounds[len(h.Bounds)-1]
-}
-
-// Snapshot is a point-in-time copy of every instrument in a registry.
+// Snapshot is a point-in-time copy of every instrument in a registry,
+// the input obs.WritePrometheus renders.
 type Snapshot struct {
-	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]float64           `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
+	Counters   map[string]int64
+	Gauges     map[string]float64
+	Histograms map[string]HistogramSnapshot
 }
 
 // Snapshot captures the registry's current state. Returns an empty
 // snapshot on a nil registry. Individual instrument reads are atomic;
 // the snapshot as a whole is not (concurrent writers may land between
-// reads), which is fine for its debugging/export purpose.
+// reads), which is fine for exposition.
 func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Counters:   map[string]int64{},
@@ -397,89 +336,4 @@ func (r *Registry) Snapshot() *Snapshot {
 		s.Histograms[name] = h.snapshot()
 	}
 	return s
-}
-
-// JSON renders the snapshot as indented JSON.
-func (s *Snapshot) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
-// Text renders the snapshot as a sorted human-readable dump. Safe on a
-// nil receiver (returns the empty string).
-func (s *Snapshot) Text() string {
-	if s == nil {
-		return ""
-	}
-	var b strings.Builder
-	for _, name := range sortedKeys(s.Counters) {
-		fmt.Fprintf(&b, "counter   %-44s %d\n", name, s.Counters[name])
-	}
-	for _, name := range sortedKeys(s.Gauges) {
-		fmt.Fprintf(&b, "gauge     %-44s %g\n", name, s.Gauges[name])
-	}
-	for _, name := range sortedKeys(s.Histograms) {
-		h := s.Histograms[name]
-		fmt.Fprintf(&b, "histogram %-44s n=%d sum=%.6g mean=%.6g p50=%.6g p95=%.6g p99=%.6g\n",
-			name, h.Count, h.Sum, h.Mean(), h.P50, h.P95, h.P99)
-		for i, c := range h.Counts {
-			if c == 0 {
-				continue
-			}
-			if i < len(h.Bounds) {
-				fmt.Fprintf(&b, "            le %-12.4g %d\n", h.Bounds[i], c)
-			} else {
-				fmt.Fprintf(&b, "            le +inf        %d\n", c)
-			}
-		}
-	}
-	return b.String()
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Export bundles a registry snapshot with a trace dump — the payload
-// the CLIs print for -metrics.
-type Export struct {
-	Metrics *Snapshot `json:"metrics"`
-	Trace   []Event   `json:"trace,omitempty"`
-	// TraceTotal is how many events were ever recorded; when it exceeds
-	// len(Trace) the ring buffer wrapped and older events were dropped.
-	TraceTotal uint64 `json:"trace_total,omitempty"`
-}
-
-// NewExport snapshots reg and tr (either may be nil).
-func NewExport(reg *Registry, tr *Tracer) *Export {
-	return &Export{Metrics: reg.Snapshot(), Trace: tr.Events(), TraceTotal: tr.Total()}
-}
-
-// JSON renders the export as indented JSON.
-func (e *Export) JSON() ([]byte, error) {
-	return json.MarshalIndent(e, "", "  ")
-}
-
-// Text renders the export human-readably: the metric dump followed by
-// the trace tail. Safe on a nil receiver and on a zero-value Export
-// (nil Metrics snapshot).
-func (e *Export) Text() string {
-	if e == nil {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString(e.Metrics.Text())
-	if len(e.Trace) > 0 {
-		fmt.Fprintf(&b, "trace (%d of %d events):\n", len(e.Trace), e.TraceTotal)
-		for _, ev := range e.Trace {
-			b.WriteString("  ")
-			b.WriteString(ev.String())
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 )
@@ -50,74 +49,28 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("event(%d)", int(k))
 }
 
-// MarshalJSON encodes the kind as its name, keeping trace exports
-// readable.
-func (k EventKind) MarshalJSON() ([]byte, error) {
-	return json.Marshal(k.String())
-}
-
-// UnmarshalJSON decodes a kind name (or a bare integer, for
-// compatibility with hand-written payloads).
-func (k *EventKind) UnmarshalJSON(data []byte) error {
-	var name string
-	if err := json.Unmarshal(data, &name); err != nil {
-		var n int
-		if err2 := json.Unmarshal(data, &n); err2 != nil {
-			return err
-		}
-		*k = EventKind(n)
-		return nil
-	}
-	for i, s := range eventKindNames {
-		if s == name {
-			*k = EventKind(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("metrics: unknown event kind %q", name)
-}
-
 // Event is one typed trace record. Time is engine time — virtual
 // seconds in the simulator, wall seconds in the live engine — so
 // identical simulator runs produce identical traces.
 type Event struct {
 	// Seq is the record's global sequence number, assigned at Record.
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// Kind types the event.
-	Kind EventKind `json:"kind"`
+	Kind EventKind
 	// Time is the engine time of the event.
-	Time float64 `json:"t"`
+	Time float64
 	// Query is the subject query ID (-1 when not query-scoped).
-	Query int `json:"query"`
+	Query int
 	// Op is the subject operator ID (-1 when not operator-scoped).
-	Op int `json:"op"`
+	Op int
 	// Thread is the worker thread ID (-1 when not thread-scoped).
-	Thread int `json:"thread"`
+	Thread int
 	// Value carries the kind-specific measurement (duration, error,
 	// pipeline depth, reward).
-	Value float64 `json:"value"`
+	Value float64
 	// Label carries kind-specific context (operator type, trigger name,
 	// scheduler name).
-	Label string `json:"label,omitempty"`
-}
-
-// String renders the event for the text dump.
-func (e Event) String() string {
-	s := fmt.Sprintf("#%-6d t=%-12.6g %-12s", e.Seq, e.Time, e.Kind)
-	if e.Query >= 0 {
-		s += fmt.Sprintf(" q%d", e.Query)
-	}
-	if e.Op >= 0 {
-		s += fmt.Sprintf(" op%d", e.Op)
-	}
-	if e.Thread >= 0 {
-		s += fmt.Sprintf(" thr%d", e.Thread)
-	}
-	if e.Label != "" {
-		s += " " + e.Label
-	}
-	s += fmt.Sprintf(" value=%.6g", e.Value)
-	return s
+	Label string
 }
 
 // Tracer is a bounded ring buffer of trace events. Recording is

@@ -133,6 +133,12 @@ func TestDecisionsFilters(t *testing.T) {
 		strings.Count(string(body), `"seq"`) != 1 {
 		t.Fatalf("n=1 returned %d records", strings.Count(string(body), `"seq"`))
 	}
+	// n is sized by the ring, not the query string: a huge n must not
+	// allocate n records' worth of slice.
+	if code, body := serve(t, s, "/decisions?n=1099511627776"); code != http.StatusOK ||
+		strings.Count(string(body), `"seq"`) != 3 {
+		t.Fatalf("n=2^40 = %d with %d records, want 200 with all 3", code, strings.Count(string(body), `"seq"`))
+	}
 }
 
 func TestDecisionsEndpointsNilSources(t *testing.T) {

@@ -10,8 +10,8 @@ import (
 )
 
 // Test helpers shared by the obs test files: a small deterministic
-// simulator run whose registry and trace feed the exposition endpoints,
-// the span exporter, and the sampler.
+// simulator run whose registry and trace feed the exposition endpoints
+// and the span exporter.
 
 // testChain builds scan -> select -> agg -> finalize.
 func testChain(name string, blocks int) *plan.Plan {

@@ -1,33 +1,35 @@
-// Package obs is the live exposition layer over internal/metrics: an
-// embeddable HTTP server that makes a running engine watchable, plus
-// the offline exporters it is built from.
+// Package obs is the live exposition layer over internal/metrics and
+// internal/provenance: an embeddable HTTP server that makes a running
+// process watchable.
 //
-// PR 1's registry and trace ring are only visible as a one-shot dump at
-// process exit; this package turns them into live surfaces:
+// Each instrumentation signal leaves the process in exactly one shape:
 //
-//   - /metrics        Prometheus text exposition format (prom.go)
-//   - /metrics.json   the registry Snapshot as JSON
-//   - /trace          recent trace events as JSON (?n=limit tails)
-//   - /trace.chrome   the trace folded into Chrome trace-event spans
-//   - /queries        per-query lifecycle summaries (queries.go)
-//   - /timeseries     the wall-clock sampler's ring (sampler.go)
-//   - /debug/pprof/   net/http/pprof profiling handlers
+//   - the metrics registry as Prometheus text exposition (prom.go),
+//     served at /metrics and printed by the CLIs' -metrics flag;
+//   - the trace ring as Chrome trace-event JSON (spans.go), served at
+//     /trace.chrome and written by the CLIs' -trace-out flag.
+//
+// The other endpoints render status the process wires in through
+// Options (policy lifecycle, front door, flight-recorder decisions,
+// drift, SLO burn, cluster routing, readiness), plus net/http/pprof.
+// The route table in routes() builds both the mux and the / index page.
 //
 // The server owns no instrumentation of its own: it reads whatever
-// *metrics.Registry and *metrics.Tracer it is given, both of which may
-// be nil (endpoints then serve empty payloads). The CLIs wire it up
-// behind a -listen flag; with the flag unset nothing here runs, so the
-// engine's zero-overhead-when-disabled contract is untouched.
+// sources it is given, any of which may be nil (endpoints then serve
+// empty payloads). The CLIs mount it behind -listen (simulator and
+// training runs) or -obs (serving processes); with the flag unset
+// nothing here runs, so the engine's zero-overhead-when-disabled
+// contract is untouched.
 package obs
 
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
-	"time"
+	"strings"
 
 	"repro/internal/metrics"
 	"repro/internal/provenance"
@@ -38,11 +40,6 @@ import (
 type Options struct {
 	Metrics *metrics.Registry
 	Trace   *metrics.Tracer
-	// SampleInterval is the wall-clock sampler period (default 1s).
-	SampleInterval time.Duration
-	// SampleCapacity bounds the sampler's time-series ring (default 600
-	// samples — ten minutes at the default period).
-	SampleCapacity int
 	// Policy, when set, backs the /policy endpoint: it returns a
 	// JSON-serializable snapshot of the policy lifecycle (active store
 	// version, serving version, swap count, known versions — whatever
@@ -81,40 +78,57 @@ type Options struct {
 // then either Start (listen + background serve) or mount Handler on an
 // existing mux.
 type Server struct {
-	opts    Options
-	sampler *Sampler
-	mux     *http.ServeMux
-	srv     *http.Server
-	ln      net.Listener
+	opts Options
+	mux  *http.ServeMux
+	srv  *http.Server
+}
+
+// route is one endpoint: its mux pattern, the line the index page
+// prints for it (none when empty), and its handler.
+type route struct {
+	path, doc string
+	handler   http.HandlerFunc
+}
+
+func (s *Server) routes() []route {
+	return []route{
+		{"/metrics", "registry, Prometheus text exposition", s.handleMetrics},
+		{"/trace.chrome", "trace ring, Chrome trace-event JSON (load in Perfetto)", s.handleTraceChrome},
+		{"/policy", "policy lifecycle status (JSON)", jsonStatus(s.opts.Policy)},
+		{"/frontdoor", "query front door status (JSON)", jsonStatus(s.opts.FrontDoor)},
+		{"/decisions", "recent learned decisions, explained (JSON; ?n, ?kind)", s.handleDecisions},
+		{"/drift", "per-feature PSI drift vs training reference (JSON)", s.handleDrift},
+		{"/slo", "per-tenant/class error-budget burn rates (JSON)", s.handleSLO},
+		{"/cluster", "routing layer: per-node health and counters (JSON)", jsonStatus(s.opts.Cluster)},
+		{"/healthz", "readiness probe (200 ready / 503 not)", s.handleHealthz},
+		{"/debug/pprof/", "pprof profiling", pprof.Index},
+		{"/debug/pprof/cmdline", "", pprof.Cmdline},
+		{"/debug/pprof/profile", "", pprof.Profile},
+		{"/debug/pprof/symbol", "", pprof.Symbol},
+		{"/debug/pprof/trace", "", pprof.Trace},
+	}
 }
 
 // NewServer builds a server (not yet listening) over the given sources.
 func NewServer(opts Options) *Server {
-	s := &Server{
-		opts:    opts,
-		sampler: NewSampler(opts.Metrics, opts.SampleInterval, opts.SampleCapacity),
+	s := &Server{opts: opts, mux: http.NewServeMux()}
+	var index strings.Builder
+	index.WriteString("lsched observability endpoints:\n")
+	for _, rt := range s.routes() {
+		s.mux.HandleFunc(rt.path, rt.handler)
+		if rt.doc != "" {
+			fmt.Fprintf(&index, "  %-15s %s\n", rt.path, rt.doc)
+		}
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/", s.handleIndex)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/metrics.json", s.handleMetricsJSON)
-	mux.HandleFunc("/trace", s.handleTrace)
-	mux.HandleFunc("/trace.chrome", s.handleTraceChrome)
-	mux.HandleFunc("/queries", s.handleQueries)
-	mux.HandleFunc("/timeseries", s.handleTimeseries)
-	mux.HandleFunc("/policy", s.handlePolicy)
-	mux.HandleFunc("/frontdoor", s.handleFrontDoor)
-	mux.HandleFunc("/decisions", s.handleDecisions)
-	mux.HandleFunc("/drift", s.handleDrift)
-	mux.HandleFunc("/slo", s.handleSLO)
-	mux.HandleFunc("/cluster", s.handleCluster)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.mux = mux
+	page := index.String()
+	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		io.WriteString(w, page) //nolint:errcheck
+	})
 	return s
 }
 
@@ -122,56 +136,25 @@ func NewServer(opts Options) *Server {
 // or driving in tests without a listener.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Sampler returns the server's wall-clock sampler (started by Start).
-func (s *Server) Sampler() *Sampler { return s.sampler }
-
-// Start binds addr (host:port; port 0 picks a free one), starts the
-// sampler, and serves in a background goroutine. It returns the bound
-// address, so callers can print a usable URL even for ":0".
+// Start binds addr (host:port; port 0 picks a free one) and serves in a
+// background goroutine. It returns the bound address, so callers can
+// print a usable URL even for ":0".
 func (s *Server) Start(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	s.ln = ln
-	s.sampler.Start()
 	s.srv = &http.Server{Handler: s.mux}
 	go s.srv.Serve(ln) //nolint:errcheck — Serve always returns on Close
 	return ln.Addr().String(), nil
 }
 
-// Close stops the sampler and shuts the listener down (no-op when Start
-// was never called).
+// Close shuts the listener down (no-op when Start was never called).
 func (s *Server) Close() error {
-	s.sampler.Stop()
 	if s.srv != nil {
 		return s.srv.Close()
 	}
 	return nil
-}
-
-func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, `lsched observability endpoints:
-  /metrics        Prometheus text exposition
-  /metrics.json   registry snapshot (JSON)
-  /trace          recent trace events (JSON; ?n=100 tails)
-  /trace.chrome   Chrome trace-event spans (load in Perfetto)
-  /queries        per-query lifecycle summaries (JSON)
-  /timeseries     wall-clock sampler ring (JSON)
-  /policy         policy lifecycle status (JSON)
-  /frontdoor      query front door status (JSON)
-  /decisions      recent learned decisions, explained (JSON; ?n, ?kind)
-  /drift          per-feature PSI drift vs training reference (JSON)
-  /slo            per-tenant/class error-budget burn rates (JSON)
-  /cluster        routing layer: per-node health and counters (JSON)
-  /healthz        readiness probe (200 ready / 503 not)
-  /debug/pprof/   pprof profiling
-`)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -179,35 +162,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	WritePrometheus(w, s.opts.Metrics.Snapshot())
 }
 
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.opts.Metrics.Snapshot())
-}
-
-// tracePayload is the /trace response shape.
-type tracePayload struct {
-	// Total counts events ever recorded; when it exceeds len(Events)
-	// the ring wrapped (or ?n truncated the response).
-	Total  uint64          `json:"total"`
-	Events []metrics.Event `json:"events"`
-}
-
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	events := s.opts.Trace.Events()
-	if nStr := r.URL.Query().Get("n"); nStr != "" {
-		n, err := strconv.Atoi(nStr)
-		if err != nil || n < 0 {
-			http.Error(w, "bad n parameter", http.StatusBadRequest)
-			return
-		}
-		if n < len(events) {
-			events = events[len(events)-n:]
-		}
-	}
-	writeJSON(w, tracePayload{Total: s.opts.Trace.Total(), Events: events})
-}
-
 func (s *Server) handleTraceChrome(w http.ResponseWriter, _ *http.Request) {
-	data, err := ChromeTraceJSON(s.opts.Trace.Events())
+	data, err := ChromeTraceJSON(s.opts.Trace)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -216,41 +172,16 @@ func (s *Server) handleTraceChrome(w http.ResponseWriter, _ *http.Request) {
 	w.Write(data) //nolint:errcheck
 }
 
-func (s *Server) handleQueries(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, BuildQueries(s.opts.Trace.Events()))
-}
-
-func (s *Server) handleTimeseries(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, timeseriesPayload{Samples: s.sampler.Samples()})
-}
-
-func (s *Server) handlePolicy(w http.ResponseWriter, _ *http.Request) {
-	if s.opts.Policy == nil {
-		writeJSON(w, struct{}{})
-		return
+// jsonStatus serves src's snapshot as JSON, or an empty object when the
+// process wired no source in.
+func jsonStatus(src func() any) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		if src == nil {
+			writeJSON(w, struct{}{})
+			return
+		}
+		writeJSON(w, src())
 	}
-	writeJSON(w, s.opts.Policy())
-}
-
-func (s *Server) handleFrontDoor(w http.ResponseWriter, _ *http.Request) {
-	if s.opts.FrontDoor == nil {
-		writeJSON(w, struct{}{})
-		return
-	}
-	writeJSON(w, s.opts.FrontDoor())
-}
-
-func (s *Server) handleCluster(w http.ResponseWriter, _ *http.Request) {
-	if s.opts.Cluster == nil {
-		writeJSON(w, struct{}{})
-		return
-	}
-	writeJSON(w, s.opts.Cluster())
-}
-
-// timeseriesPayload is the /timeseries response (and disk-dump) shape.
-type timeseriesPayload struct {
-	Samples []Sample `json:"samples"`
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

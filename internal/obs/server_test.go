@@ -34,7 +34,6 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	srv.Sampler().Poll()
 
 	t.Run("index", func(t *testing.T) {
 		code, body := get(t, addr, "/")
@@ -62,49 +61,6 @@ func TestServerEndpoints(t *testing.T) {
 		}
 	})
 
-	t.Run("metrics.json", func(t *testing.T) {
-		code, body := get(t, addr, "/metrics.json")
-		if code != http.StatusOK {
-			t.Fatalf("status %d", code)
-		}
-		var snap metrics.Snapshot
-		if err := json.Unmarshal(body, &snap); err != nil {
-			t.Fatal(err)
-		}
-		if snap.Counters["engine_workorders_completed"] != int64(res.WorkOrders) {
-			t.Fatalf("completed = %d, want %d",
-				snap.Counters["engine_workorders_completed"], res.WorkOrders)
-		}
-	})
-
-	t.Run("trace", func(t *testing.T) {
-		code, body := get(t, addr, "/trace")
-		if code != http.StatusOK {
-			t.Fatalf("status %d", code)
-		}
-		var payload struct {
-			Total  uint64          `json:"total"`
-			Events []metrics.Event `json:"events"`
-		}
-		if err := json.Unmarshal(body, &payload); err != nil {
-			t.Fatal(err)
-		}
-		if payload.Total == 0 || len(payload.Events) == 0 {
-			t.Fatalf("empty trace payload: total=%d events=%d", payload.Total, len(payload.Events))
-		}
-		// ?n tails the window.
-		_, body = get(t, addr, "/trace?n=5")
-		if err := json.Unmarshal(body, &payload); err != nil {
-			t.Fatal(err)
-		}
-		if len(payload.Events) != 5 {
-			t.Fatalf("tailed events = %d, want 5", len(payload.Events))
-		}
-		if code, _ := get(t, addr, "/trace?n=bogus"); code != http.StatusBadRequest {
-			t.Fatalf("bad n status = %d", code)
-		}
-	})
-
 	t.Run("trace.chrome", func(t *testing.T) {
 		code, body := get(t, addr, "/trace.chrome")
 		if code != http.StatusOK {
@@ -117,39 +73,8 @@ func TestServerEndpoints(t *testing.T) {
 		if len(ct.TraceEvents) == 0 {
 			t.Fatal("no chrome trace events")
 		}
-	})
-
-	t.Run("queries", func(t *testing.T) {
-		code, body := get(t, addr, "/queries")
-		if code != http.StatusOK {
-			t.Fatalf("status %d", code)
-		}
-		var rep QueriesReport
-		if err := json.Unmarshal(body, &rep); err != nil {
-			t.Fatal(err)
-		}
-		if rep.Finished != len(res.Durations) || rep.Running != 0 {
-			t.Fatalf("finished=%d running=%d, want %d/0", rep.Finished, rep.Running, len(res.Durations))
-		}
-	})
-
-	t.Run("timeseries", func(t *testing.T) {
-		code, body := get(t, addr, "/timeseries")
-		if code != http.StatusOK {
-			t.Fatalf("status %d", code)
-		}
-		var payload struct {
-			Samples []Sample `json:"samples"`
-		}
-		if err := json.Unmarshal(body, &payload); err != nil {
-			t.Fatal(err)
-		}
-		if len(payload.Samples) == 0 {
-			t.Fatal("no samples after Poll")
-		}
-		last := payload.Samples[len(payload.Samples)-1]
-		if last.QueriesFinished != int64(len(res.Durations)) {
-			t.Fatalf("sample queries_finished = %d, want %d", last.QueriesFinished, len(res.Durations))
+		if got := ct.OtherData["trace_total"]; got != float64(tr.Total()) {
+			t.Fatalf("otherData trace_total = %v, want %d", got, tr.Total())
 		}
 	})
 
@@ -176,7 +101,7 @@ func TestServerNilSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	for _, path := range []string{"/metrics", "/metrics.json", "/trace", "/trace.chrome", "/queries", "/timeseries", "/cluster"} {
+	for _, path := range []string{"/metrics", "/trace.chrome", "/policy", "/frontdoor", "/cluster"} {
 		if code, _ := get(t, addr, path); code != http.StatusOK {
 			t.Errorf("%s status = %d, want 200", path, code)
 		}
@@ -214,6 +139,33 @@ func TestServerCluster(t *testing.T) {
 	}
 	if got.Policy != "least-loaded" || len(got.Nodes) != 1 || got.Nodes[0].ID != "node-0" {
 		t.Fatalf("cluster payload = %+v", got)
+	}
+}
+
+// TestIndexRoutesAnswer: every path the / index page lists is served
+// (the page and the mux are built from one table), and the index lists
+// exactly the endpoints the server exposes.
+func TestIndexRoutesAnswer(t *testing.T) {
+	s := NewServer(Options{})
+	code, body := serve(t, s, "/")
+	if code != http.StatusOK {
+		t.Fatalf("index status %d", code)
+	}
+	var paths []string
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && strings.HasPrefix(f[0], "/") {
+			paths = append(paths, f[0])
+		}
+	}
+	want := []string{"/metrics", "/trace.chrome", "/policy", "/frontdoor", "/decisions",
+		"/drift", "/slo", "/cluster", "/healthz", "/debug/pprof/"}
+	if strings.Join(paths, " ") != strings.Join(want, " ") {
+		t.Fatalf("index lists %v, want %v", paths, want)
+	}
+	for _, path := range paths {
+		if code, _ := serve(t, s, path); code == http.StatusNotFound {
+			t.Errorf("%s is on the index page but answers 404", path)
+		}
 	}
 }
 

@@ -3,28 +3,34 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"sort"
 
 	"repro/internal/metrics"
 )
 
-// This file folds the flat engine trace (metrics.Event records) into
-// spans and renders them in the Chrome trace-event format, loadable in
-// Perfetto (ui.perfetto.dev) or chrome://tracing. Two process tracks
-// are emitted:
+// This file renders the trace ring in the Chrome trace-event format,
+// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. It is the
+// ring's only rendering, so every event kind appears, with the kind's
+// name as the record's category. Two process tracks are emitted:
 //
 //   - pid 1 "queries": one complete span per finished query (admit →
 //     finish, reconstructed from the query_finish latency so it works
-//     even when the ring dropped the admit event), instant marks for
-//     scheduler decisions, and instant marks for queries still running
-//     at export time.
+//     even when the ring dropped the admit event); instants for
+//     scheduler decisions, scheduling triggers (§5.2; process-wide when
+//     not query-scoped) and queries still running at export time; and
+//     counter tracks for cost-model prediction errors (cost_update) and
+//     online-learning rewards (reward).
 //   - pid 2 "workers": one complete span per executed work order on its
 //     worker-thread track (reconstructed from the complete event's
-//     duration, which equals dispatch → complete).
+//     duration, which equals dispatch → complete), and an instant for
+//     each dispatch whose completion is not in the window.
 //
-// Timestamps are engine time converted to microseconds — virtual time
-// for Sim runs, wall time for Live runs — so the same exporter serves
-// both engines and identical Sim runs export identical bytes.
+// otherData carries how many events the ring ever recorded, so a
+// wrapped ring shows. Timestamps are engine time converted to
+// microseconds — virtual time for Sim runs, wall time for Live runs —
+// so the same exporter serves both engines and identical Sim runs
+// export identical bytes.
 
 // Chrome trace-event pids for the two tracks.
 const (
@@ -33,7 +39,7 @@ const (
 )
 
 // ChromeEvent is one record of the Chrome trace-event format ("X" =
-// complete span, "i" = instant, "M" = metadata).
+// complete span, "i" = instant, "C" = counter, "M" = metadata).
 type ChromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
@@ -48,15 +54,20 @@ type ChromeEvent struct {
 
 // ChromeTrace is the JSON-object flavour of the trace-event format.
 type ChromeTrace struct {
-	TraceEvents     []ChromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
+	TraceEvents     []ChromeEvent  `json:"traceEvents"`
+	DisplayTimeUnit string         `json:"displayTimeUnit"`
+	OtherData       map[string]any `json:"otherData"`
 }
 
 const secToMicros = 1e6
 
-// BuildChromeTrace folds trace events into the two-track span model.
-func BuildChromeTrace(events []metrics.Event) *ChromeTrace {
-	tr := &ChromeTrace{DisplayTimeUnit: "ms"}
+// BuildChromeTrace folds the retained events of a ring that recorded
+// total events in all into the two-track model.
+func BuildChromeTrace(events []metrics.Event, total uint64) *ChromeTrace {
+	tr := &ChromeTrace{
+		DisplayTimeUnit: "ms",
+		OtherData:       map[string]any{"trace_total": total, "trace_retained": len(events)},
+	}
 	meta := func(name string, pid, tid int, args map[string]any) {
 		tr.TraceEvents = append(tr.TraceEvents, ChromeEvent{
 			Name: name, Ph: "M", Pid: pid, Tid: tid, Args: args,
@@ -80,9 +91,15 @@ func BuildChromeTrace(events []metrics.Event) *ChromeTrace {
 		return info
 	}
 	threads := map[int]bool{}
+	// A work order is in flight from its dispatch until the first
+	// later complete of the same (query, op, thread).
+	type workOrder struct{ query, op, thread int }
+	dispatched := map[workOrder][]int{}
+	completed := make([]bool, len(events))
 
 	var spans []ChromeEvent
-	for _, ev := range events {
+	for i, ev := range events {
+		cat := ev.Kind.String()
 		switch ev.Kind {
 		case metrics.EvQueryAdmit:
 			info := q(ev.Query)
@@ -101,18 +118,41 @@ func BuildChromeTrace(events []metrics.Event) *ChromeTrace {
 				start = 0
 			}
 			spans = append(spans, ChromeEvent{
-				Name: spanName(ev.Label, ev.Query), Cat: "query", Ph: "X",
+				Name: spanName(ev.Label, ev.Query), Cat: cat, Ph: "X",
 				Ts: start * secToMicros, Dur: ev.Value * secToMicros,
 				Pid: pidQueries, Tid: ev.Query,
 				Args: map[string]any{"latency": ev.Value},
 			})
 		case metrics.EvDecision:
 			spans = append(spans, ChromeEvent{
-				Name: "decision " + ev.Label, Cat: "sched", Ph: "i", S: "t",
+				Name: "decision " + ev.Label, Cat: cat, Ph: "i", S: "t",
 				Ts: ev.Time * secToMicros, Pid: pidQueries, Tid: ev.Query,
 				Args: map[string]any{"root_op": ev.Op, "pipeline_depth": ev.Value},
 			})
+		case metrics.EvTrigger:
+			mark := ChromeEvent{
+				Name: "trigger " + ev.Label, Cat: cat, Ph: "i", S: "p",
+				Ts: ev.Time * secToMicros, Pid: pidQueries,
+				Args: map[string]any{"op": ev.Op},
+			}
+			if ev.Query >= 0 {
+				q(ev.Query)
+				mark.S, mark.Tid = "t", ev.Query
+			}
+			spans = append(spans, mark)
+		case metrics.EvCostUpdate, metrics.EvReward:
+			spans = append(spans, ChromeEvent{
+				Name: cat, Cat: cat, Ph: "C", Ts: ev.Time * secToMicros, Pid: pidQueries,
+				Args: map[string]any{cat: ev.Value},
+			})
+		case metrics.EvDispatch:
+			k := workOrder{ev.Query, ev.Op, ev.Thread}
+			dispatched[k] = append(dispatched[k], i)
 		case metrics.EvComplete:
+			if k := (workOrder{ev.Query, ev.Op, ev.Thread}); len(dispatched[k]) > 0 {
+				completed[dispatched[k][0]] = true
+				dispatched[k] = dispatched[k][1:]
+			}
 			if ev.Thread >= 0 {
 				threads[ev.Thread] = true
 			}
@@ -121,12 +161,28 @@ func BuildChromeTrace(events []metrics.Event) *ChromeTrace {
 				start = 0
 			}
 			spans = append(spans, ChromeEvent{
-				Name: ev.Label, Cat: "workorder", Ph: "X",
+				Name: ev.Label, Cat: cat, Ph: "X",
 				Ts: start * secToMicros, Dur: ev.Value * secToMicros,
 				Pid: pidWorkers, Tid: ev.Thread,
 				Args: map[string]any{"query": ev.Query, "op": ev.Op},
 			})
 		}
+	}
+
+	// Work dispatched but not completed inside the retained window gets
+	// an instant mark on its worker track.
+	for i, ev := range events {
+		if ev.Kind != metrics.EvDispatch || completed[i] {
+			continue
+		}
+		if ev.Thread >= 0 {
+			threads[ev.Thread] = true
+		}
+		spans = append(spans, ChromeEvent{
+			Name: "dispatch " + ev.Label, Cat: ev.Kind.String(), Ph: "i", S: "t",
+			Ts: ev.Time * secToMicros, Pid: pidWorkers, Tid: ev.Thread,
+			Args: map[string]any{"query": ev.Query, "op": ev.Op},
+		})
 	}
 
 	// Queries admitted but not finished inside the retained window get
@@ -137,7 +193,7 @@ func BuildChromeTrace(events []metrics.Event) *ChromeTrace {
 			continue
 		}
 		spans = append(spans, ChromeEvent{
-			Name: "admit " + spanName(info.name, id), Cat: "query", Ph: "i", S: "t",
+			Name: "admit " + spanName(info.name, id), Cat: metrics.EvQueryAdmit.String(), Ph: "i", S: "t",
 			Ts: info.admit * secToMicros, Pid: pidQueries, Tid: id,
 		})
 	}
@@ -155,9 +211,20 @@ func BuildChromeTrace(events []metrics.Event) *ChromeTrace {
 	return tr
 }
 
-// ChromeTraceJSON renders the folded trace as Chrome trace-event JSON.
-func ChromeTraceJSON(events []metrics.Event) ([]byte, error) {
-	return json.MarshalIndent(BuildChromeTrace(events), "", " ")
+// ChromeTraceJSON renders a trace ring as Chrome trace-event JSON (an
+// empty trace for a nil ring).
+func ChromeTraceJSON(tr *metrics.Tracer) ([]byte, error) {
+	return json.MarshalIndent(BuildChromeTrace(tr.Events(), tr.Total()), "", " ")
+}
+
+// WriteChromeTrace writes a trace ring to path as Chrome trace-event
+// JSON, the file the CLIs' -trace-out flag produces.
+func WriteChromeTrace(path string, tr *metrics.Tracer) error {
+	data, err := ChromeTraceJSON(tr)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
 }
 
 // spanName labels a query track/span: "q3 tpch_q14" or "q3" when the

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -14,7 +15,7 @@ import (
 // the run's makespan).
 func TestChromeTraceValidity(t *testing.T) {
 	_, tr, res := runTestSim(t, 3)
-	data, err := ChromeTraceJSON(tr.Events())
+	data, err := ChromeTraceJSON(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestChromeTraceValidity(t *testing.T) {
 				t.Fatalf("metadata event %d after span events", i)
 			}
 			continue
-		case "X", "i":
+		case "X", "i", "C":
 		default:
 			t.Fatalf("unexpected phase %q in event %d", ev.Ph, i)
 		}
@@ -80,11 +81,11 @@ func TestChromeTraceValidity(t *testing.T) {
 func TestChromeTraceDeterministic(t *testing.T) {
 	_, tr1, _ := runTestSim(t, 11)
 	_, tr2, _ := runTestSim(t, 11)
-	d1, err := ChromeTraceJSON(tr1.Events())
+	d1, err := ChromeTraceJSON(tr1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := ChromeTraceJSON(tr2.Events())
+	d2, err := ChromeTraceJSON(tr2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestChromeTraceDroppedAdmit(t *testing.T) {
 		// admit without finish: instant mark
 		{Kind: metrics.EvQueryAdmit, Time: 8, Query: 1, Op: -1, Thread: -1, Label: "qb"},
 	}
-	ct := BuildChromeTrace(events)
+	ct := BuildChromeTrace(events, 2)
 	var span, instant bool
 	for _, ev := range ct.TraceEvents {
 		if ev.Ph == "X" && ev.Tid == 0 && ev.Ts == 6*secToMicros && ev.Dur == 4*secToMicros {
@@ -121,47 +122,40 @@ func TestChromeTraceDroppedAdmit(t *testing.T) {
 	}
 }
 
-func TestBuildQueries(t *testing.T) {
-	_, tr, res := runTestSim(t, 5)
-	rep := BuildQueries(tr.Events())
-	if rep.Finished != len(res.Durations) || rep.Running != 0 {
-		t.Fatalf("finished=%d running=%d, want %d/0", rep.Finished, rep.Running, len(res.Durations))
+// TestChromeTraceRendersEveryKind: the Chrome trace is the trace
+// ring's only rendering, so one event of every kind must reach it
+// (categorised by kind name), a dispatch with no completion in the
+// window must stay visible, and otherData must report the ring total.
+func TestChromeTraceRendersEveryKind(t *testing.T) {
+	var events []metrics.Event
+	for k := metrics.EventKind(0); !strings.HasPrefix(k.String(), "event("); k++ {
+		events = append(events, metrics.Event{
+			Seq: uint64(k), Kind: k, Time: float64(k), Query: int(k), Op: 1, Thread: 0, Value: 0.5, Label: "x",
+		})
 	}
-	totalWOs := 0
-	for _, q := range rep.Queries {
-		if !q.Done {
-			t.Fatalf("query %d not done: %+v", q.ID, q)
-		}
-		if got, want := q.Latency, res.Durations[q.ID]; got != want {
-			t.Fatalf("query %d latency = %v, want %v", q.ID, got, want)
-		}
-		if q.Finish-q.Admit != q.Latency {
-			t.Fatalf("query %d finish-admit = %v, want latency %v", q.ID, q.Finish-q.Admit, q.Latency)
-		}
-		if q.WorkOrders == 0 || q.Decisions == 0 {
-			t.Fatalf("query %d has no work orders / decisions: %+v", q.ID, q)
-		}
-		if q.MeanWorkOrder <= 0 {
-			t.Fatalf("query %d mean work order = %v", q.ID, q.MeanWorkOrder)
-		}
-		totalWOs += q.WorkOrders
+	ct := BuildChromeTrace(events, 100)
+	seen := map[string]bool{}
+	for _, ev := range ct.TraceEvents {
+		seen[ev.Cat] = true
 	}
-	if totalWOs != res.WorkOrders {
-		t.Fatalf("summed work orders = %d, want %d", totalWOs, res.WorkOrders)
+	for _, ev := range events {
+		if !seen[ev.Kind.String()] {
+			t.Errorf("event kind %s missing from the chrome trace: %+v", ev.Kind, ct.TraceEvents)
+		}
 	}
-	if rep.LatencyP50 <= 0 || rep.LatencyP99 < rep.LatencyP50 || rep.LatencyMean <= 0 {
-		t.Fatalf("implausible latency stats: %+v", rep)
+	if got := ct.OtherData["trace_total"]; got != uint64(100) {
+		t.Fatalf("otherData trace_total = %v, want 100", got)
 	}
-	// Dropped-admit reconstruction.
-	partial := BuildQueries([]metrics.Event{
-		{Kind: metrics.EvQueryFinish, Time: 10, Query: 3, Op: -1, Thread: -1, Value: 4, Label: "qx"},
-	})
-	if len(partial.Queries) != 1 || partial.Queries[0].Admit != 6 {
-		t.Fatalf("reconstructed admit = %+v", partial.Queries)
-	}
-	// Empty trace.
-	empty := BuildQueries(nil)
-	if len(empty.Queries) != 0 || empty.Finished != 0 || empty.Running != 0 {
-		t.Fatalf("empty report = %+v", empty)
+
+	// A dispatch whose complete is in the window is drawn by the
+	// complete's span alone.
+	paired := BuildChromeTrace([]metrics.Event{
+		{Kind: metrics.EvDispatch, Time: 1, Query: 0, Op: 2, Thread: 3, Label: "Select"},
+		{Kind: metrics.EvComplete, Time: 2, Query: 0, Op: 2, Thread: 3, Value: 1, Label: "Select"},
+	}, 2)
+	for _, ev := range paired.TraceEvents {
+		if ev.Cat == "dispatch" {
+			t.Fatalf("completed work order also drawn as in flight: %+v", ev)
+		}
 	}
 }

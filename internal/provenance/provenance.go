@@ -368,6 +368,9 @@ func (r *Recorder) Recent(n int) []Record {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if n > len(r.ring) {
+		n = len(r.ring) // n can come straight from a query string
+	}
 	lo := uint64(1)
 	if r.seq > uint64(len(r.ring)) {
 		lo = r.seq - uint64(len(r.ring)) + 1

@@ -117,6 +117,21 @@ func TestRecentOrderAndBound(t *testing.T) {
 	}
 }
 
+// TestRecentHugeN: n reaches Recent straight from /decisions?n=, so
+// the result must be sized by the ring, never by n.
+func TestRecentHugeN(t *testing.T) {
+	r := testRecorder(4)
+	if got := r.Recent(1 << 40); len(got) != 0 {
+		t.Fatalf("empty recorder returned %d records", len(got))
+	}
+	for i := 1; i <= 6; i++ {
+		r.Record(KindAdmit, int64(i), "", 0, []float64{1}, nil, 0, 0, 0)
+	}
+	if got := r.Recent(1 << 40); len(got) != 4 || cap(got) > 4 {
+		t.Fatalf("Recent(1<<40) = len %d cap %d, want at most the ring capacity 4", len(got), cap(got))
+	}
+}
+
 func TestUnjoinableAndUnknownJoins(t *testing.T) {
 	r := testRecorder(8)
 	if seq := r.Record(KindSchedule, -1, "", 0, []float64{1}, []float64{0.1}, -1, 0, 0); seq != 1 {

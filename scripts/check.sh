@@ -36,8 +36,9 @@ echo "== fuzz smoke (10s per target)"
 go test -run='^$' -fuzz=FuzzDecodeRequest -fuzztime=10s ./internal/frontdoor/
 go test -run='^$' -fuzz=FuzzLiveKernels -fuzztime=10s ./internal/engine/
 go test -run='^$' -fuzz=FuzzReadAll -fuzztime=10s ./internal/provenance/
+go test -run='^$' -fuzz=FuzzStoreGet -fuzztime=10s ./internal/policystore/
 
-echo "== cluster smoke (2 real nodes + coordinator over TCP, 200 queries, zero lost)"
+echo "== cluster smoke (2 real nodes + coordinator over TCP, 200 queries, zero lost, coordinator obs endpoints)"
 smokedir=$(mktemp -d)
 cleanup_cluster() {
   kill "${node0_pid:-}" "${node1_pid:-}" "${coord_pid:-}" 2>/dev/null || true
@@ -50,13 +51,25 @@ node0_pid=$!
 "$smokedir/lsched-node" -listen 127.0.0.1:17472 -id smoke-1 -sf 0.02 >"$smokedir/node1.log" 2>&1 &
 node1_pid=$!
 "$smokedir/lsched-cluster" -nodes 127.0.0.1:17471,127.0.0.1:17472 \
-  -listen 127.0.0.1:17480 -heartbeat 200ms >"$smokedir/coord.log" 2>&1 &
+  -listen 127.0.0.1:17480 -obs 127.0.0.1:17481 -heartbeat 200ms >"$smokedir/coord.log" 2>&1 &
 coord_pid=$!
 for _ in $(seq 1 100); do
   if (echo > /dev/tcp/127.0.0.1/17480) 2>/dev/null; then break; fi
   sleep 0.1
 done
 "$smokedir/lsched-loadgen" -target http://127.0.0.1:17480/query -n 200 -rate 400 -sf 0.02
+# The coordinator's obs server: its registry carries the routing layer
+# and no engine family (a coordinator has no engine), and the probes
+# answer, including a /decisions?n= far past the recorder's ring.
+obs=http://127.0.0.1:17481
+curl -sf "$obs/metrics" >"$smokedir/metrics.prom"
+if ! grep -q '^cluster_routed_total' "$smokedir/metrics.prom" || grep -qE '^(# TYPE )?engine_' "$smokedir/metrics.prom"; then
+  echo "cluster smoke: coordinator /metrics lacks cluster_routed_total or exports an engine_ family" >&2
+  cat "$smokedir/metrics.prom" >&2
+  exit 1
+fi
+curl -sf -o /dev/null "$obs/healthz"
+curl -sf -o /dev/null "$obs/decisions?n=1099511627776"
 kill -TERM "$coord_pid"
 wait "$coord_pid"
 if ! grep -q "lost=0" "$smokedir/coord.log"; then
