@@ -163,14 +163,13 @@ func (n *Node) Health() HealthReply {
 // into the serving slot. A load failure leaves the slot untouched —
 // the node keeps serving its previous policy, which is the per-node
 // rollback half of the rollout protocol.
-func (n *Node) Install(version int, params, experience []byte) error {
+func (n *Node) Install(version int, params []byte) error {
 	if n.opts.Hot == nil {
 		return fmt.Errorf("cluster: node %s has no policy slot", n.opts.ID)
 	}
 	ck := &policystore.Checkpoint{
-		Manifest:   policystore.Manifest{Version: version},
-		Params:     params,
-		Experience: experience,
+		Manifest: policystore.Manifest{Version: version},
+		Params:   params,
 	}
 	sched, err := n.opts.Loader(ck)
 	if err != nil {

@@ -67,7 +67,7 @@ func (c *Coordinator) SyncPolicy(store *policystore.Store) error {
 	if err != nil {
 		return err
 	}
-	req := &InstallRequest{Version: active, Params: ck.Params, Experience: ck.Experience}
+	req := &InstallRequest{Version: active, Params: ck.Params}
 	failed := make(map[string]string)
 	for _, m := range todo {
 		reply, err := m.client.Install(req)

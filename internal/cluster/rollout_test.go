@@ -151,7 +151,7 @@ func TestRolloutConvergesAndRollsBack(t *testing.T) {
 // of crashing.
 func TestInstallWithoutPolicySlot(t *testing.T) {
 	n := testNode(t, "bare", frontdoor.BackendFunc(func(q *frontdoor.Query) (*frontdoor.Result, error) { return nil, nil }))
-	if err := n.Install(1, []byte("p"), nil); err == nil {
+	if err := n.Install(1, []byte("p")); err == nil {
 		t.Fatal("install on a node without a policy slot succeeded")
 	}
 }

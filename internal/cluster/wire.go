@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/frontdoor"
@@ -50,9 +49,8 @@ type HealthReply struct {
 
 // InstallRequest pushes one policy checkpoint to a node.
 type InstallRequest struct {
-	Version    int
-	Params     []byte
-	Experience []byte
+	Version int
+	Params  []byte
 }
 
 // InstallReply reports the install. Err != "" means the node kept its
@@ -71,8 +69,8 @@ type DrainReply struct {
 	Drained bool
 }
 
-// serveSubmit is the shared Submit implementation behind both the RPC
-// receiver and the in-process LocalClient.
+// serveSubmit is the Submit implementation behind the RPC receiver
+// (and the tests' in-process client).
 func (n *Node) serveSubmit(req *SubmitRequest, reply *SubmitReply) {
 	q, err := req.Req.Validate()
 	if err != nil {
@@ -122,7 +120,7 @@ func (r *NodeRPC) Health(_ *HealthArgs, reply *HealthReply) error {
 
 // Install swaps the node's serving policy to the pushed checkpoint.
 func (r *NodeRPC) Install(req *InstallRequest, reply *InstallReply) error {
-	if err := r.n.Install(req.Version, req.Params, req.Experience); err != nil {
+	if err := r.n.Install(req.Version, req.Params); err != nil {
 		reply.Err = err.Error()
 	}
 	return nil
@@ -144,65 +142,9 @@ type NodeClient interface {
 	Close() error
 }
 
-// ErrNodeDown is the transport error a killed LocalClient returns — the
-// in-process stand-in for a refused or reset connection.
+// ErrNodeDown is the transport error of a node that stopped answering:
+// the coordinator wraps it when a query exhausts its dispatch attempts.
 var ErrNodeDown = errors.New("cluster: node down")
-
-// LocalClient is the in-process NodeClient the test/bench harness uses:
-// direct calls into a Node, plus a Kill switch that makes every call —
-// including ones already in flight — fail like a dead TCP peer.
-type LocalClient struct {
-	n      *Node
-	killed atomic.Bool
-}
-
-// NewLocalClient wraps a node.
-func NewLocalClient(n *Node) *LocalClient { return &LocalClient{n: n} }
-
-// Kill makes all subsequent (and in-flight) calls fail with
-// ErrNodeDown, simulating a node crash: a reply computed after the
-// kill is dropped, exactly like a response lost on a closed socket.
-func (c *LocalClient) Kill() { c.killed.Store(true) }
-
-// Revive clears the kill switch (a restarted node).
-func (c *LocalClient) Revive() { c.killed.Store(false) }
-
-// Submit implements NodeClient.
-func (c *LocalClient) Submit(req *SubmitRequest) (*SubmitReply, error) {
-	if c.killed.Load() {
-		return nil, ErrNodeDown
-	}
-	var reply SubmitReply
-	c.n.serveSubmit(req, &reply)
-	if c.killed.Load() {
-		return nil, ErrNodeDown // node died before the reply made it out
-	}
-	return &reply, nil
-}
-
-// Health implements NodeClient.
-func (c *LocalClient) Health() (*HealthReply, error) {
-	if c.killed.Load() {
-		return nil, ErrNodeDown
-	}
-	hr := c.n.Health()
-	return &hr, nil
-}
-
-// Install implements NodeClient.
-func (c *LocalClient) Install(req *InstallRequest) (*InstallReply, error) {
-	if c.killed.Load() {
-		return nil, ErrNodeDown
-	}
-	var reply InstallReply
-	if err := c.n.Install(req.Version, req.Params, req.Experience); err != nil {
-		reply.Err = err.Error()
-	}
-	return &reply, nil
-}
-
-// Close implements NodeClient (no-op).
-func (c *LocalClient) Close() error { return nil }
 
 // RPCClient is the TCP NodeClient: it holds one connection to a node's
 // rpcsched server and lazily re-dials (with retry backoff) after any

@@ -1,6 +1,7 @@
 package decima
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -75,5 +76,36 @@ func TestDecimaTrainConfigAverageOnly(t *testing.T) {
 	cfg := TrainConfig(base)
 	if cfg.W1 != 1 || cfg.W2 != 0 {
 		t.Fatalf("Decima reward weights w1=%v w2=%v, want 1/0", cfg.W1, cfg.W2)
+	}
+}
+
+// TestDecimaTrainDeterministic: two same-seed training runs of the
+// Decima baseline give byte-identical checkpoints.
+func TestDecimaTrainDeterministic(t *testing.T) {
+	pool, err := workload.NewPool(workload.BenchTPCH, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() []byte {
+		d := New(41)
+		cfg := TrainConfig(lsched.DefaultTrainConfig(41))
+		cfg.Episodes = 8
+		cfg.Rollouts = 4
+		cfg.SimCfg = engine.SimConfig{Threads: 6, NoiseFrac: 0.1}
+		cfg.Workload = func(ep int, rng *rand.Rand) []engine.Arrival {
+			return workload.Streaming(pool.Train, 4, 0.5, rng)
+		}
+		cfg.BaselineKey = func(ep int) int { return ep % 4 }
+		if _, err := lsched.Train(d, cfg); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := d.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ck
+	}
+	if !bytes.Equal(run(), run()) {
+		t.Fatal("same-seed Decima training runs produced different checkpoint bytes")
 	}
 }

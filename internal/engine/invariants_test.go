@@ -35,7 +35,7 @@ func (s invariantSched) OnEvent(st *State, ev Event) []Decision {
 // checkConservation asserts, after a dispatch round, that free workers
 // imply every query is either at its grant or has nothing runnable.
 func (s invariantSched) checkConservation() {
-	st := s.sim.State()
+	st := s.sim.state
 	if st.FreeThreads() == 0 {
 		return
 	}

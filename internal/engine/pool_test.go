@@ -33,7 +33,7 @@ func TestPoolShrinkStillCompletes(t *testing.T) {
 	if len(res.Durations) != 2 {
 		t.Fatalf("completed %d of 2 after shrink", len(res.Durations))
 	}
-	if got := len(sim.State().Threads); got != 2 {
+	if got := len(sim.state.Threads); got != 2 {
 		t.Fatalf("pool holds %d workers after shrink, want 2", got)
 	}
 }
@@ -47,7 +47,7 @@ func TestPoolShrinkNeverBelowOne(t *testing.T) {
 	if len(res.Durations) != 1 {
 		t.Fatal("query did not complete")
 	}
-	if len(sim.State().Threads) < 1 {
+	if len(sim.state.Threads) < 1 {
 		t.Fatal("pool shrank to zero")
 	}
 }

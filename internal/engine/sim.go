@@ -187,7 +187,7 @@ type Sim struct {
 	execJobs  chan int
 	execBatch []dispatched
 	execWG    sync.WaitGroup
-	// chainBuf is reused across apply calls for pipelineChain results.
+	// chainBuf is reused across apply calls for appendPipelineChain results.
 	chainBuf []int
 	// instr holds the cached metric handles (all-nil when disabled).
 	instr *simInstruments
@@ -240,9 +240,6 @@ func newSim(cfg SimConfig, est *costmodel.Estimator, instr *simInstruments) *Sim
 
 // SetObserver attaches a query lifecycle observer (used by RL trainers).
 func (s *Sim) SetObserver(o QueryObserver) { s.observer = o }
-
-// State exposes the engine state, for tests.
-func (s *Sim) State() *State { return s.state }
 
 // Run executes the workload to completion under sched and returns the
 // run summary. It is deterministic for a fixed seed and scheduler.

@@ -42,13 +42,13 @@ func TestSchedulableRootsRespectBlocking(t *testing.T) {
 func TestPipelineChainStopsAtBreaker(t *testing.T) {
 	p := chainPlan("c", 4) // scan, select, select, aggregate, finalize
 	q := newQueryState(0, p, 0)
-	chain := pipelineChain(q, p.Ops[0], 10)
+	chain := appendPipelineChain(nil, q, p.Ops[0], 10)
 	// scan -> select -> select, stopping at the aggregate breaker.
 	if len(chain) != 3 {
 		t.Fatalf("chain %v, want length 3", chain)
 	}
 	// Depth 1 truncates.
-	chain = pipelineChain(q, p.Ops[0], 1)
+	chain = appendPipelineChain(nil, q, p.Ops[0], 1)
 	if len(chain) != 2 {
 		t.Fatalf("depth-1 chain %v, want length 2", chain)
 	}
@@ -60,13 +60,13 @@ func TestPipelineChainRequiresSideInputs(t *testing.T) {
 	// From the right scan, the probe's build-side input is not done, so
 	// the chain must not extend into the probe.
 	rightScan := p.Ops[1]
-	chain := pipelineChain(q, rightScan, 5)
+	chain := appendPipelineChain(nil, q, rightScan, 5)
 	if len(chain) != 1 {
 		t.Fatalf("chain through probe with missing build: %v", chain)
 	}
 	// Once the build is done, the chain may extend.
 	q.OpStates[2].Done = true // build
-	chain = pipelineChain(q, rightScan, 5)
+	chain = appendPipelineChain(nil, q, rightScan, 5)
 	if len(chain) < 2 {
 		t.Fatalf("chain should extend into probe once build is done: %v", chain)
 	}

@@ -124,17 +124,12 @@ type QueryObserver interface {
 	QueryCompleted(queryID int, arrival, completion float64)
 }
 
-// pipelineChain returns the operator IDs of the longest chain starting at
-// root and repeatedly stepping to a parent over a non-pipeline-breaking
-// edge whose parent's other inputs are all done, truncated to depth
-// extra operators. It is the set of operators a Decision with
-// PipelineDepth=depth activates together with the root.
-func pipelineChain(q *QueryState, root *plan.Operator, depth int) []int {
-	return appendPipelineChain(nil, q, root, depth)
-}
-
-// appendPipelineChain is pipelineChain writing into a caller-supplied
-// buffer, so the dispatch hot path can reuse one slice across decisions.
+// appendPipelineChain appends to buf the operator IDs of the longest
+// chain starting at root and repeatedly stepping to a parent over a
+// non-pipeline-breaking edge whose parent's other inputs are all done,
+// truncated to depth extra operators. It is the set of operators a
+// Decision with PipelineDepth=depth activates together with the root;
+// the dispatch hot path reuses one buffer across decisions.
 func appendPipelineChain(buf []int, q *QueryState, root *plan.Operator, depth int) []int {
 	chain := append(buf, root.ID)
 	cur := root

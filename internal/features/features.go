@@ -67,35 +67,10 @@ func NewExtractor(cfg Config) *Extractor {
 // Config returns the extractor's dimension config.
 func (e *Extractor) Config() Config { return e.cfg }
 
-// Downsample implements Eq. 1: it reduces bitmap b to out values, each
-// the mean of its stride of the original array.
-func Downsample(b []float64, out int) []float64 {
-	d := make([]float64, out)
-	if len(b) == 0 || out <= 0 {
-		return d
-	}
-	stride := float64(len(b)) / float64(out)
-	for j := 0; j < out; j++ {
-		lo := int(float64(j) * stride)
-		hi := int(float64(j+1) * stride)
-		if hi <= lo {
-			hi = lo + 1
-		}
-		if hi > len(b) {
-			hi = len(b)
-		}
-		s := 0.0
-		for k := lo; k < hi; k++ {
-			s += b[k]
-		}
-		d[j] = s / float64(hi-lo)
-	}
-	return d
-}
-
-// appendDownsampleSuffix appends Downsample applied to a length-total
-// bitmap whose first done entries are 0 and the rest 1, exploiting the
-// suffix shape to avoid materializing the bitmap.
+// appendDownsampleSuffix appends Eq. 1's downsampling (each of out
+// values is the mean of its stride of the original array) of a
+// length-total bitmap whose first done entries are 0 and the rest 1,
+// exploiting the suffix shape to avoid materializing the bitmap.
 func appendDownsampleSuffix(dst []float64, total, done, out int) []float64 {
 	if out <= 0 {
 		return dst
@@ -231,7 +206,8 @@ func (e *Extractor) AppendQuery(dst []float64, st *engine.State, q *engine.Query
 		math.Log1p(float64(q.AssignedThreads)),
 		math.Log1p(float64(st.FreeThreads())),
 	)
-	// Downsample(st.LocalityVector(q), c.LocFeat) computed in place.
+	// Eq. 1 downsampling of st.LocalityVector(q) to c.LocFeat values,
+	// computed in place.
 	total := len(st.Threads)
 	if total == 0 || c.LocFeat <= 0 {
 		return appendZeros(dst, c.LocFeat)

@@ -224,3 +224,30 @@ func TestDynamicFeaturesUseEstimator(t *testing.T) {
 		t.Fatalf("O-MEM = %v, want log1p(%v)", v[n-1], 5*rem)
 	}
 }
+
+// Downsample implements Eq. 1 on a materialized bitmap: it reduces b to
+// out values, each the mean of its stride of the original array. It is
+// the oracle for the in-place forms in features.go.
+func Downsample(b []float64, out int) []float64 {
+	d := make([]float64, out)
+	if len(b) == 0 || out <= 0 {
+		return d
+	}
+	stride := float64(len(b)) / float64(out)
+	for j := 0; j < out; j++ {
+		lo := int(float64(j) * stride)
+		hi := int(float64(j+1) * stride)
+		if hi <= lo {
+			hi = lo + 1
+		}
+		if hi > len(b) {
+			hi = len(b)
+		}
+		s := 0.0
+		for k := lo; k < hi; k++ {
+			s += b[k]
+		}
+		d[j] = s / float64(hi-lo)
+	}
+	return d
+}

@@ -328,9 +328,6 @@ func New(opts Options) (*FrontDoor, error) {
 	return fd, nil
 }
 
-// Controller returns the front door's admission controller.
-func (fd *FrontDoor) Controller() Controller { return fd.opts.Controller }
-
 // Estimator returns the cost model pricing admissions.
 func (fd *FrontDoor) Estimator() *costmodel.Estimator { return fd.opts.Estimator }
 

@@ -1,6 +1,7 @@
 package lsched
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -115,9 +116,10 @@ func TestFastPathRecordedStepsSurviveReuse(t *testing.T) {
 
 // TestTrainRolloutsDeterministic: the parallel trainer is a
 // deterministic function of (seed, rollouts) — two runs with four
-// concurrent rollouts must produce identical reward curves.
+// concurrent rollouts must produce identical reward curves and
+// byte-identical checkpoints.
 func TestTrainRolloutsDeterministic(t *testing.T) {
-	run := func() []float64 {
+	run := func() ([]float64, []byte) {
 		agent := New(DefaultOptions(31))
 		cfg := rolloutTrainConfig(t, 31)
 		cfg.Rollouts = 4
@@ -125,9 +127,14 @@ func TestTrainRolloutsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.EpisodeRewards
+		ck, err := agent.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.EpisodeRewards, ck
 	}
-	a, b := run(), run()
+	a, ckA := run()
+	b, ckB := run()
 	if len(a) != len(b) || len(a) == 0 {
 		t.Fatalf("reward curve lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -135,6 +142,9 @@ func TestTrainRolloutsDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("episode %d reward differs across runs: %v vs %v", i, a[i], b[i])
 		}
+	}
+	if !bytes.Equal(ckA, ckB) {
+		t.Fatal("same-seed training runs produced different checkpoint bytes")
 	}
 }
 

@@ -30,15 +30,12 @@ const (
 	// EvCostUpdate: a completion was folded into the cost estimator;
 	// Value is the signed duration prediction error.
 	EvCostUpdate
-	// EvReward: an online-learning checkpoint computed a reward signal;
-	// Value is the mean step reward of the window.
-	EvReward
 	numEventKinds
 )
 
 var eventKindNames = [numEventKinds]string{
 	"dispatch", "complete", "query_admit", "query_finish",
-	"decision", "trigger", "cost_update", "reward",
+	"decision", "trigger", "cost_update",
 }
 
 // String names the event kind.
@@ -66,7 +63,7 @@ type Event struct {
 	// Thread is the worker thread ID (-1 when not thread-scoped).
 	Thread int
 	// Value carries the kind-specific measurement (duration, error,
-	// pipeline depth, reward).
+	// pipeline depth).
 	Value float64
 	// Label carries kind-specific context (operator type, trigger name,
 	// scheduler name).

@@ -132,9 +132,9 @@ func TestParamsVersionBumps(t *testing.T) {
 	if p.Version() != 1 {
 		t.Fatalf("Adam.Step did not bump version: %d", p.Version())
 	}
-	NewSGD(1e-2, 0.9).Step(p)
+	NewAdam(1e-2).Step(p)
 	if p.Version() != 2 {
-		t.Fatalf("SGD.Step did not bump version: %d", p.Version())
+		t.Fatalf("second Adam.Step did not bump version: %d", p.Version())
 	}
 	data, err := p.Serialize()
 	if err != nil {

@@ -2,50 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update and leaves gradients intact (call
-	// Params.ZeroGrads afterwards).
-	Step(p *Params)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vel      map[string][]float64
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[string][]float64)}
-}
-
-// Step applies one SGD update to all unfrozen parameters.
-func (o *SGD) Step(p *Params) {
-	p.BumpVersion()
-	for _, n := range p.All() {
-		if n.Frozen() {
-			continue
-		}
-		if o.Momentum == 0 {
-			for i := range n.Val {
-				n.Val[i] -= o.LR * n.Grad[i]
-			}
-			continue
-		}
-		v, ok := o.vel[n.Name()]
-		if !ok {
-			v = make([]float64, n.Len())
-			o.vel[n.Name()] = v
-		}
-		for i := range n.Val {
-			v[i] = o.Momentum*v[i] + n.Grad[i]
-			n.Val[i] -= o.LR * v[i]
-		}
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba) — the workhorse for the
 // REINFORCE policy updates.
 type Adam struct {

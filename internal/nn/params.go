@@ -107,18 +107,21 @@ func (p *Params) All() []*Node {
 
 // ZeroGrads clears accumulated gradients.
 func (p *Params) ZeroGrads() {
-	for _, n := range p.byName {
+	for _, name := range p.order {
+		n := p.byName[name]
 		for i := range n.Grad {
 			n.Grad[i] = 0
 		}
 	}
 }
 
-// GradNorm returns the L2 norm of all gradients, for clipping.
+// GradNorm returns the L2 norm of all gradients, for clipping. It sums
+// in registration order, so the result (and the clip scale) is the same
+// bit for bit on every run.
 func (p *Params) GradNorm() float64 {
 	s := 0.0
-	for _, n := range p.byName {
-		for _, g := range n.Grad {
+	for _, name := range p.order {
+		for _, g := range p.byName[name].Grad {
 			s += g * g
 		}
 	}
@@ -132,7 +135,8 @@ func (p *Params) ClipGrads(max float64) {
 		return
 	}
 	scale := max / norm
-	for _, n := range p.byName {
+	for _, name := range p.order {
+		n := p.byName[name]
 		for i := range n.Grad {
 			n.Grad[i] *= scale
 		}

@@ -269,7 +269,6 @@ func TestFrozenParamsSkipUpdates(t *testing.T) {
 	w.SetFrozen(true)
 	w.Grad[0], w.Grad[1] = 5, -5
 	NewAdam(0.1).Step(params)
-	NewSGD(0.1, 0.9).Step(params)
 	for i := range orig {
 		if w.Val[i] != orig[i] {
 			t.Fatalf("frozen param updated: %v -> %v", orig, w.Val)

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/heuristics"
 	"repro/internal/metrics"
 	"repro/internal/policystore"
@@ -78,31 +77,14 @@ func TestPolicyEndpoint(t *testing.T) {
 	}
 }
 
-// TestPolicyCountersExposition checks the lifecycle counters registered
-// by the serving instruments surface in the Prometheus text format.
+// TestPolicyCountersExposition checks the hot-swap counter registered
+// by serving.HotAgent surfaces in the Prometheus text format.
 func TestPolicyCountersExposition(t *testing.T) {
 	reg := metrics.NewRegistry()
 
 	hot := serving.NewHotAgent(heuristics.Fair{}, 1)
 	hot.Instrument(reg)
 	hot.Install(heuristics.Fair{}, 2) // policy_swaps_total -> 1
-
-	store, err := policystore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prom, err := serving.NewPromoter(serving.PromoterConfig{
-		Store: store,
-		Hot:   hot,
-		Load: func(ck *policystore.Checkpoint) (engine.Scheduler, error) {
-			return heuristics.Fair{}, nil
-		},
-		Eval: serving.EvalConfig{Arrivals: make([]engine.Arrival, 1)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prom.Instrument(reg) // registers the promotion/rollback counters
 
 	srv := NewServer(Options{Metrics: reg})
 	addr, err := srv.Start("127.0.0.1:0")
@@ -118,9 +100,6 @@ func TestPolicyCountersExposition(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE policy_swaps_total counter",
 		"policy_swaps_total 1",
-		"# TYPE policy_rollbacks_total counter",
-		"policy_rollbacks_total 0",
-		"policy_promotions_total 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)

@@ -19,8 +19,7 @@ import (
 //     even when the ring dropped the admit event); instants for
 //     scheduler decisions, scheduling triggers (§5.2; process-wide when
 //     not query-scoped) and queries still running at export time; and
-//     counter tracks for cost-model prediction errors (cost_update) and
-//     online-learning rewards (reward).
+//     a counter track for cost-model prediction errors (cost_update).
 //   - pid 2 "workers": one complete span per executed work order on its
 //     worker-thread track (reconstructed from the complete event's
 //     duration, which equals dispatch → complete), and an instant for
@@ -140,7 +139,7 @@ func BuildChromeTrace(events []metrics.Event, total uint64) *ChromeTrace {
 				mark.S, mark.Tid = "t", ev.Query
 			}
 			spans = append(spans, mark)
-		case metrics.EvCostUpdate, metrics.EvReward:
+		case metrics.EvCostUpdate:
 			spans = append(spans, ChromeEvent{
 				Name: cat, Cat: cat, Ph: "C", Ts: ev.Time * secToMicros, Pid: pidQueries,
 				Args: map[string]any{cat: ev.Value},

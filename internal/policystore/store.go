@@ -1,13 +1,10 @@
 // Package policystore is the durable half of the policy lifecycle: a
 // versioned on-disk store for scheduling-policy checkpoints.
 //
-// The paper's online-learning story (§5.2 triggers, §7.5 transfer and
-// fine-tuning) assumes a policy that keeps improving while it serves.
-// That requires policy artifacts that outlive a process: training and
-// online self-correction Put versions, serving Gets them, and promotion
-// — which version live traffic runs on — is an explicit, reversible
-// store operation rather than an in-memory swap that dies with the
-// process.
+// Policy artifacts outlive the process that trained them: training
+// Puts versions, serving Gets them, and promotion — which version live
+// traffic runs on — is an explicit, reversible store operation rather
+// than an in-memory swap that dies with the process.
 //
 // Layout (one directory per version, all under the store root):
 //
@@ -15,14 +12,13 @@
 //	  v000001/
 //	    manifest.json    version, parent, created-at, config, metrics, CRCs
 //	    params.bin       nn.Params.Serialize blob
-//	    experience.bin   lsched.ExperienceManager.Serialize blob (optional)
 //	  v000002/ ...
 //	  CURRENT            JSON {active, previous} promotion pointer
 //
 // Durability rules:
 //   - Put stages a version in a hidden temp directory and publishes it
 //     with one os.Rename — readers never observe a partial version.
-//   - The manifest carries a CRC32 (IEEE) per blob; Get verifies them,
+//   - The manifest carries the params blob's CRC32 (IEEE); Get verifies it,
 //     and List skips versions whose manifest is missing or unparseable,
 //     so a corrupt or half-written version is never served.
 //   - Promote/Rollback rewrite CURRENT via temp file + rename, so the
@@ -52,7 +48,7 @@ type Manifest struct {
 	Parent int `json:"parent,omitempty"`
 	// CreatedAtUnix is the publish time (Unix seconds).
 	CreatedAtUnix int64 `json:"created_at_unix"`
-	// Source labels the producer ("train", "online", "import", ...).
+	// Source labels the producer ("train", "bench", "import", ...).
 	Source string `json:"source,omitempty"`
 	// TrainConfig is a free-form summary of how the policy was produced
 	// (episode counts, learning rate, benchmark...).
@@ -64,9 +60,6 @@ type Manifest struct {
 	ParamsCRC32 uint32 `json:"params_crc32"`
 	// ParamsBytes is len(params.bin), a second cheap integrity check.
 	ParamsBytes int `json:"params_bytes"`
-	// ExperienceCRC32/ExperienceBytes cover experience.bin when present.
-	ExperienceCRC32 uint32 `json:"experience_crc32,omitempty"`
-	ExperienceBytes int    `json:"experience_bytes,omitempty"`
 }
 
 // Checkpoint is a fully loaded, integrity-checked policy version.
@@ -74,17 +67,12 @@ type Checkpoint struct {
 	Manifest Manifest
 	// Params is the nn.Params.Serialize blob.
 	Params []byte
-	// Experience is the lsched.ExperienceManager.Serialize blob (nil
-	// when the version was stored without one).
-	Experience []byte
 }
 
 // PutOptions carries the artifact and metadata for one Put.
 type PutOptions struct {
 	// Params is the serialized parameter blob (required).
 	Params []byte
-	// Experience is the serialized experience-manager blob (optional).
-	Experience []byte
 	// Parent, Source, TrainConfig, Metrics land in the manifest as-is.
 	Parent      int
 	Source      string
@@ -101,12 +89,11 @@ type current struct {
 }
 
 const (
-	manifestName   = "manifest.json"
-	paramsName     = "params.bin"
-	experienceName = "experience.bin"
-	currentName    = "CURRENT"
-	versionPrefix  = "v"
-	tempPrefix     = ".tmp-"
+	manifestName  = "manifest.json"
+	paramsName    = "params.bin"
+	currentName   = "CURRENT"
+	versionPrefix = "v"
+	tempPrefix    = ".tmp-"
 )
 
 // Store is a versioned policy checkpoint store rooted at one directory.
@@ -176,7 +163,9 @@ func (s *Store) versionNumbers() ([]int, error) {
 	return out, nil
 }
 
-// readManifest loads and sanity-checks one version's manifest.
+// readManifest loads and sanity-checks one version's manifest. Unknown
+// fields are ignored, so manifests that still carry the retired
+// experience_crc32/experience_bytes fields load as before.
 func (s *Store) readManifest(v int) (Manifest, error) {
 	var m Manifest
 	data, err := os.ReadFile(filepath.Join(s.root, versionDir(v), manifestName))
@@ -246,18 +235,7 @@ func (s *Store) Get(v int) (*Checkpoint, error) {
 		return nil, fmt.Errorf("policystore: version %d: params blob corrupt (%d bytes, crc %08x; manifest says %d bytes, crc %08x)",
 			v, len(params), crc32.ChecksumIEEE(params), m.ParamsBytes, m.ParamsCRC32)
 	}
-	ck := &Checkpoint{Manifest: m, Params: params}
-	if m.ExperienceBytes > 0 || m.ExperienceCRC32 != 0 {
-		exp, err := os.ReadFile(filepath.Join(dir, experienceName))
-		if err != nil {
-			return nil, fmt.Errorf("policystore: version %d: %w", v, err)
-		}
-		if len(exp) != m.ExperienceBytes || crc32.ChecksumIEEE(exp) != m.ExperienceCRC32 {
-			return nil, fmt.Errorf("policystore: version %d: experience blob corrupt", v)
-		}
-		ck.Experience = exp
-	}
-	return ck, nil
+	return &Checkpoint{Manifest: m, Params: params}, nil
 }
 
 // Put stores a new version and returns its number. The version is
@@ -287,10 +265,6 @@ func (s *Store) Put(opts PutOptions) (int, error) {
 		ParamsCRC32:   crc32.ChecksumIEEE(opts.Params),
 		ParamsBytes:   len(opts.Params),
 	}
-	if len(opts.Experience) > 0 {
-		m.ExperienceCRC32 = crc32.ChecksumIEEE(opts.Experience)
-		m.ExperienceBytes = len(opts.Experience)
-	}
 	tmp, err := os.MkdirTemp(s.root, tempPrefix)
 	if err != nil {
 		return 0, fmt.Errorf("policystore: stage version %d: %w", v, err)
@@ -298,11 +272,6 @@ func (s *Store) Put(opts PutOptions) (int, error) {
 	defer os.RemoveAll(tmp) // no-op after successful rename
 	if err := writeFileSync(filepath.Join(tmp, paramsName), opts.Params); err != nil {
 		return 0, err
-	}
-	if len(opts.Experience) > 0 {
-		if err := writeFileSync(filepath.Join(tmp, experienceName), opts.Experience); err != nil {
-			return 0, err
-		}
 	}
 	mdata, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {

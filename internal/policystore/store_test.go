@@ -1,6 +1,8 @@
 package policystore
 
 import (
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -32,15 +34,14 @@ func mustPut(t *testing.T, s *Store, opts PutOptions) int {
 func TestStorePutGetPromote(t *testing.T) {
 	s := testStore(t)
 	params := []byte("params-blob-v1")
-	exp := []byte("experience-blob")
 	v1 := mustPut(t, s, PutOptions{
-		Params: params, Experience: exp, Source: "train",
+		Params: params, Source: "train",
 		TrainConfig: "episodes=10", Metrics: map[string]float64{"avg_reward": -1.5},
 	})
 	if v1 != 1 {
 		t.Fatalf("first version = %d, want 1", v1)
 	}
-	v2 := mustPut(t, s, PutOptions{Params: []byte("params-blob-v2"), Parent: v1, Source: "online"})
+	v2 := mustPut(t, s, PutOptions{Params: []byte("params-blob-v2"), Parent: v1, Source: "bench"})
 	if v2 != 2 {
 		t.Fatalf("second version = %d, want 2", v2)
 	}
@@ -49,8 +50,8 @@ func TestStorePutGetPromote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ck.Params, params) || !reflect.DeepEqual(ck.Experience, exp) {
-		t.Fatal("round-tripped blobs differ")
+	if !reflect.DeepEqual(ck.Params, params) {
+		t.Fatal("round-tripped params differ")
 	}
 	if ck.Manifest.Source != "train" || ck.Manifest.TrainConfig != "episodes=10" {
 		t.Fatalf("manifest metadata lost: %+v", ck.Manifest)
@@ -64,9 +65,6 @@ func TestStorePutGetPromote(t *testing.T) {
 	}
 	if ck2.Manifest.Parent != v1 {
 		t.Fatalf("parent = %d, want %d", ck2.Manifest.Parent, v1)
-	}
-	if ck2.Experience != nil {
-		t.Fatal("version 2 stored without experience should load without one")
 	}
 
 	list, err := s.List()
@@ -160,13 +158,62 @@ func TestStoreListSkipsHalfWrittenVersion(t *testing.T) {
 
 func TestStoreTruncatedBlobDetected(t *testing.T) {
 	s := testStore(t)
-	v := mustPut(t, s, PutOptions{Params: []byte("0123456789"), Experience: []byte("abcdef")})
-	path := filepath.Join(s.Root(), versionDir(v), experienceName)
-	if err := os.WriteFile(path, []byte("abc"), 0o644); err != nil {
+	v := mustPut(t, s, PutOptions{Params: []byte("0123456789")})
+	path := filepath.Join(s.Root(), versionDir(v), paramsName)
+	if err := os.WriteFile(path, []byte("01234"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Get(v); err == nil {
-		t.Fatal("Get served a version with a truncated experience blob")
+		t.Fatal("Get served a version with a truncated params blob")
+	}
+}
+
+// TestStoreLoadsExperienceBlobVersions: a version written when the
+// store still kept an experience blob (manifest fields
+// experience_crc32/experience_bytes plus the blob file, here
+// truncated) loads with its params intact and is listed; the retired
+// blob is never opened.
+func TestStoreLoadsExperienceBlobVersions(t *testing.T) {
+	s := testStore(t)
+	params := []byte("0123456789")
+	dir := filepath.Join(s.Root(), versionDir(1))
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	manifest := fmt.Sprintf(`{
+  "version": 1,
+  "created_at_unix": 1700000000,
+  "source": "online",
+  "params_crc32": %d,
+  "params_bytes": %d,
+  "experience_crc32": %d,
+  "experience_bytes": 6
+}`, crc32.ChecksumIEEE(params), len(params), crc32.ChecksumIEEE([]byte("abcdef")))
+	for name, data := range map[string][]byte{
+		manifestName:     []byte(manifest),
+		paramsName:       params,
+		"experience.bin": []byte("abc"),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ck, err := s.Get(1)
+	if err != nil {
+		t.Fatalf("Get of an experience-blob version: %v", err)
+	}
+	if !reflect.DeepEqual(ck.Params, params) || ck.Manifest.Source != "online" {
+		t.Fatalf("loaded %q from %+v", ck.Params, ck.Manifest)
+	}
+	list, err := s.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != 1 || list[0].Version != 1 {
+		t.Fatalf("list = %+v, want version 1", list)
+	}
+	if v := mustPut(t, s, PutOptions{Params: []byte("next")}); v != 2 {
+		t.Fatalf("next version = %d, want 2", v)
 	}
 }
 

@@ -1,8 +1,12 @@
 // Package serving is the live half of the policy lifecycle: it puts a
-// hot-swappable indirection in front of any engine.Scheduler, replays
-// candidate policies in shadow on the same event stream, and promotes a
-// candidate to the serving slot only when its evaluation beats the
-// active policy — rolling back otherwise.
+// hot-swappable indirection in front of any engine.Scheduler, builds
+// servable agents from store checkpoints (LSchedLoader), and reports the
+// serving slot's state for the obs server's /policy endpoint. Which
+// version serves is decided outside the process: lsched-policyctl
+// promotes a version in the store, and the coordinator pushes it to its
+// nodes, each of which loads it and swaps it in. ShadowEvaluator
+// replays a candidate policy beside the active one on the same event
+// stream, for a future promotion gate; no binary runs it yet.
 //
 // The split with internal/policystore mirrors a production deployment:
 // policystore owns durable versioned artifacts, serving owns the
@@ -37,8 +41,8 @@ type slot struct {
 // computed under other parameter values.
 //
 // HotAgent also forwards engine.QueryObserver callbacks to the current
-// scheduler when it implements the interface, so an OnlineAgent keeps
-// learning while it is the serving policy.
+// scheduler when it implements the interface, so an agent's
+// flight-recorder entries join their query outcomes.
 type HotAgent struct {
 	cur   atomic.Pointer[slot]
 	swaps atomic.Uint64
@@ -59,7 +63,7 @@ func NewHotAgent(initial engine.Scheduler, version int) *HotAgent {
 }
 
 // stampPolicyVersion pushes the policy-store version into schedulers
-// that record decision provenance (lsched.Agent, lsched.OnlineAgent),
+// that record decision provenance (lsched.Agent),
 // so every flight-recorder entry names the checkpoint that produced it.
 func stampPolicyVersion(sched engine.Scheduler, version int) {
 	if s, ok := sched.(interface{ SetPolicyVersion(int) }); ok {
@@ -102,8 +106,8 @@ func (h *HotAgent) OnEvent(st *engine.State, ev engine.Event) []engine.Decision 
 }
 
 // QueryCompleted implements engine.QueryObserver by forwarding to the
-// serving policy when it observes query lifecycles (e.g. an online
-// self-correcting agent).
+// serving policy when it observes query lifecycles (lsched.Agent joins
+// its provenance records this way).
 func (h *HotAgent) QueryCompleted(queryID int, arrival, completion float64) {
 	if o, ok := h.cur.Load().sched.(engine.QueryObserver); ok {
 		o.QueryCompleted(queryID, arrival, completion)

@@ -8,8 +8,8 @@ import (
 	"repro/internal/policystore"
 )
 
-// LSchedLoader returns a PromoterConfig.Load function that builds a
-// greedy LSched agent from each checkpoint's params blob. Every load
+// LSchedLoader returns the cluster.NodeOptions.Loader function that
+// builds a greedy LSched agent from each checkpoint's params blob. Every load
 // constructs a fresh agent (own tapes, own encoding cache), so a
 // candidate under evaluation never shares mutable state with the
 // serving policy. nn.Params.Load bumps the params version counter,

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -194,204 +195,60 @@ func TestShadowEvaluatorAgreement(t *testing.T) {
 	}
 }
 
-// trickle is a deliberately poor policy: it keeps queries alive but
-// serializes everything onto one thread with no pipelining.
-type trickle struct{}
-
-func (trickle) Name() string { return "trickle" }
-func (trickle) OnEvent(st *engine.State, _ engine.Event) []engine.Decision {
-	var ds []engine.Decision
-	for _, q := range st.Queries {
-		roots := q.SchedulableRoots()
-		if len(roots) > 0 {
-			ds = append(ds, engine.Decision{QueryID: q.ID, RootOpID: roots[0].ID})
-		}
-		ds = append(ds, engine.Decision{QueryID: q.ID, RootOpID: -1, Threads: 1})
-	}
-	return ds
-}
-
-// testLoader maps tiny text blobs to heuristic schedulers, so promoter
-// tests control candidate quality exactly.
-func testLoader(ck *policystore.Checkpoint) (engine.Scheduler, error) {
-	switch string(ck.Params) {
-	case "sjf":
-		return heuristics.SJF{}, nil
-	case "fair":
-		return heuristics.Fair{}, nil
-	case "trickle":
-		return trickle{}, nil
-	}
-	return nil, nil
-}
-
-func TestPromoterGuardedPromotionAndRollback(t *testing.T) {
-	store := testStore(t)
-	arrivals := testArrivals(t, 6, 19)
-	hot := NewHotAgent(heuristics.Fair{}, 0)
-	reg := metrics.NewRegistry()
-	hot.Instrument(reg)
-
-	p, err := NewPromoter(PromoterConfig{
-		Store: store,
-		Hot:   hot,
-		Load:  testLoader,
-		Eval:  EvalConfig{Arrivals: arrivals, Threads: 6, Seed: 19, NoiseFrac: 0.1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Instrument(reg)
-
-	// Empty store: a tick is a no-op.
-	if res, err := p.Tick(); err != nil || res.Checked != 0 {
-		t.Fatalf("tick on empty store: %+v, %v", res, err)
-	}
-
-	// Bootstrap: the first version promotes without a contest.
-	v1, err := store.Put(policystore.PutOptions{Params: []byte("fair")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Tick()
-	if err != nil || !res.Promoted {
-		t.Fatalf("bootstrap tick: %+v, %v", res, err)
-	}
-	if a, _ := store.Active(); a != v1 {
-		t.Fatalf("active = %d, want %d", a, v1)
-	}
-	if hot.ActiveVersion() != v1 {
-		t.Fatalf("serving version = %d, want %d", hot.ActiveVersion(), v1)
-	}
-
-	// A better candidate (SJF beats Fair on avg duration) promotes.
-	v2, err := store.Put(policystore.PutOptions{Params: []byte("sjf"), Parent: v1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = p.Tick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Promoted || res.CandidateScore < res.ActiveScore {
-		t.Fatalf("better candidate not promoted: %+v", res)
-	}
-	if a, _ := store.Active(); a != v2 {
-		t.Fatalf("active = %d, want %d", a, v2)
-	}
-	if hot.ActiveVersion() != v2 {
-		t.Fatalf("serving version = %d, want %d", hot.ActiveVersion(), v2)
-	}
-
-	// A worse candidate is trial-promoted, fails its shadow evaluation,
-	// and is rolled back — the serving policy never changes.
-	v3, err := store.Put(policystore.PutOptions{Params: []byte("trickle"), Parent: v2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = p.Tick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.RolledBack || res.Promoted {
-		t.Fatalf("worse candidate not rolled back: %+v", res)
-	}
-	if a, _ := store.Active(); a != v2 {
-		t.Fatalf("active after rollback = %d, want %d", a, v2)
-	}
-	if hot.ActiveVersion() != v2 {
-		t.Fatalf("serving version after rollback = %d, want %d", hot.ActiveVersion(), v2)
-	}
-	// The rejected version's manifest records why.
-	ck, err := store.Get(v3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ck.Manifest.Metrics["sim_score"]; !ok {
-		t.Fatalf("rejected manifest missing evaluation metrics: %+v", ck.Manifest.Metrics)
-	}
-
-	// The rejected version is not re-evaluated on the next tick.
-	if res, err := p.Tick(); err != nil || res.Checked != 0 {
-		t.Fatalf("rejected candidate re-checked: %+v, %v", res, err)
-	}
-
-	if got := reg.Counter("policy_promotions_total").Value(); got != 2 {
-		t.Fatalf("policy_promotions_total = %d, want 2", got)
-	}
-	if got := reg.Counter("policy_rollbacks_total").Value(); got != 1 {
-		t.Fatalf("policy_rollbacks_total = %d, want 1", got)
-	}
-	if got := hot.Swaps(); got != 2 {
-		t.Fatalf("hot swaps = %d, want 2 (bootstrap + promotion)", got)
-	}
-}
-
-// TestCrashRecoveryRoundTrip is the restart story: an online agent
-// checkpoints into the store while serving; a fresh process restores
-// the latest version and gets bit-identical params, the same experience
-// buffer, and (via the Sim determinism harness) an identical schedule.
+// TestCrashRecoveryRoundTrip is the restart story: a briefly trained
+// agent's checkpoint goes into the store, and a fresh process loads the
+// latest version through LSchedLoader (lsched-node's path). The params
+// come back byte-identical, and the greedy schedules of the trained and
+// the restored agent are bit-identical.
 func TestCrashRecoveryRoundTrip(t *testing.T) {
-	store := testStore(t)
 	opts := lsched.DefaultOptions(5)
 	agent := lsched.New(opts)
-	online := lsched.NewOnlineAgent(agent, lsched.OnlineConfig{CheckpointEvery: 2, LR: 1e-3, W1: 1}, nil)
-	online.PersistTo(store, 0)
-
-	arrivals := testArrivals(t, 8, 23)
-	sim := engine.NewSim(engine.SimConfig{Threads: 6, Seed: 23, NoiseFrac: 0.1})
-	sim.SetObserver(online)
-	if _, err := sim.Run(online, engine.CloneArrivals(arrivals)); err != nil {
+	cfg := lsched.DefaultTrainConfig(5)
+	cfg.Episodes = 4
+	cfg.SimCfg = engine.SimConfig{Threads: 6, NoiseFrac: 0.1}
+	cfg.Workload = func(ep int, _ *rand.Rand) []engine.Arrival {
+		return testArrivals(t, 4, 23)
+	}
+	if _, err := lsched.Train(agent, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := online.PersistErr(); err != nil {
+	params, err := agent.Checkpoint()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if online.LastPersisted() == 0 {
-		t.Fatal("no checkpoint persisted during the run")
+	if initial, err := lsched.New(opts).Checkpoint(); err != nil || bytes.Equal(initial, params) {
+		t.Fatalf("training left the params at their initial values (err %v)", err)
+	}
+	store := testStore(t)
+	v, err := store.Put(policystore.PutOptions{Params: params, Source: "train"})
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// "Restart": a fresh agent restores the latest stored version.
+	// "Restart": a fresh agent loads the latest stored version.
 	ck, err := store.Latest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Manifest.Version != online.LastPersisted() {
-		t.Fatalf("latest = v%d, want v%d", ck.Manifest.Version, online.LastPersisted())
+	if ck.Manifest.Version != v {
+		t.Fatalf("latest = v%d, want v%d", ck.Manifest.Version, v)
 	}
-	restored := lsched.New(opts)
-	if err := restored.Restore(ck.Params); err != nil {
-		t.Fatal(err)
-	}
-
-	// Params restore bit-identically (online updates only happen at
-	// checkpoints, and every checkpoint persisted).
-	want, err := agent.Params().Serialize()
+	sched, err := LSchedLoader(opts)(ck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := restored.Params().Serialize()
+	restored := sched.(*lsched.Agent)
+	got, err := restored.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("restored params differ from the live agent's")
-	}
-
-	// The experience buffer round-trips exactly.
-	rexp := lsched.NewExperienceManager(1024)
-	if err := rexp.Load(ck.Experience); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rexp.All(), online.Experiences().All()) {
-		t.Fatalf("experiences differ:\n live     %+v\n restored %+v",
-			online.Experiences().All(), rexp.All())
+	if !bytes.Equal(params, got) {
+		t.Fatal("restored params differ from the trained agent's")
 	}
 
 	// Determinism harness: both agents, greedy, produce bit-identical
 	// schedules on the same workload.
 	agent.SetGreedy(true)
-	restored.SetGreedy(true)
 	eval := testArrivals(t, 6, 29)
 	s1 := engine.NewSim(engine.SimConfig{Threads: 6, Seed: 29, NoiseFrac: 0.1})
 	r1, err := s1.Run(agent, engine.CloneArrivals(eval))
@@ -404,7 +261,7 @@ func TestCrashRecoveryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r1.Durations, r2.Durations) || r1.Makespan != r2.Makespan {
-		t.Fatalf("restored agent schedules differently:\n live     %v (makespan %v)\n restored %v (makespan %v)",
+		t.Fatalf("restored agent schedules differently:\n trained  %v (makespan %v)\n restored %v (makespan %v)",
 			r1.Durations, r1.Makespan, r2.Durations, r2.Makespan)
 	}
 }

@@ -98,19 +98,3 @@ func EncodeColumn(rel *Relation, name string) error {
 	}
 	return nil
 }
-
-// DecodeStrings materializes the string values of a (possibly coded)
-// string vector — the round-trip check and the escape hatch for sinks
-// that need real strings.
-func DecodeStrings(v *ColumnVector) []string {
-	if v.Strings != nil {
-		out := make([]string, len(v.Strings))
-		copy(out, v.Strings)
-		return out
-	}
-	out := make([]string, len(v.Codes))
-	for i, c := range v.Codes {
-		out[i] = v.Dict.Value(c)
-	}
-	return out
-}

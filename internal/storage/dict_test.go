@@ -116,3 +116,18 @@ func TestValidateRejectsBadCodes(t *testing.T) {
 		t.Fatalf("Validate rejected well-formed coded column: %v", err)
 	}
 }
+
+// DecodeStrings materializes the string values of a (possibly coded)
+// string vector, for the round-trip check.
+func DecodeStrings(v *ColumnVector) []string {
+	if v.Strings != nil {
+		out := make([]string, len(v.Strings))
+		copy(out, v.Strings)
+		return out
+	}
+	out := make([]string, len(v.Codes))
+	for i, c := range v.Codes {
+		out[i] = v.Dict.Value(c)
+	}
+	return out
+}

@@ -56,17 +56,6 @@ func (t *tmpl) scan(rel string, rowsAtSF1 float64, cols ...string) node {
 	return node{b: t.b, op: op}
 }
 
-// indexScan adds an IndexScan over a base relation.
-func (t *tmpl) indexScan(rel string, rowsAtSF1 float64, cols ...string) node {
-	op := t.b.Add(&plan.Operator{
-		Type:           plan.IndexScan,
-		InputRelations: []string{rel},
-		Columns:        cols,
-		EstBlocks:      t.blocksFor(rowsAtSF1),
-	})
-	return node{b: t.b, op: op}
-}
-
 // childBlocks estimates the output block volume of a node.
 func childBlocks(n node) int {
 	blocks := int(math.Ceil(float64(n.op.EstBlocks) * n.op.Selectivity))
@@ -84,18 +73,6 @@ func (n node) sel(selectivity float64, cols ...string) node {
 		Columns:        cols,
 		EstBlocks:      childBlocks(n),
 		Selectivity:    selectivity,
-	})
-	n.b.ConnectAuto(n.op, op)
-	return node{b: n.b, op: op}
-}
-
-// proj projects the node's output.
-func (n node) proj(cols ...string) node {
-	op := n.b.Add(&plan.Operator{
-		Type:           plan.Project,
-		InputRelations: n.op.InputRelations,
-		Columns:        cols,
-		EstBlocks:      childBlocks(n),
 	})
 	n.b.ConnectAuto(n.op, op)
 	return node{b: n.b, op: op}
@@ -123,21 +100,6 @@ func (n node) hashJoin(probe node, selectivity float64, cols ...string) node {
 	n.b.Connect(build, probeOp, false)   // build side blocks the probe
 	n.b.Connect(probe.op, probeOp, true) // probe side pipelines
 	return node{b: n.b, op: probeOp}
-}
-
-// inlJoin joins via an index-nested-loop join on the probe side.
-func (n node) inlJoin(outer node, selectivity float64, cols ...string) node {
-	rels := append(append([]string{}, n.op.InputRelations...), outer.op.InputRelations...)
-	op := n.b.Add(&plan.Operator{
-		Type:           plan.IndexNestedLoopJoin,
-		InputRelations: rels,
-		Columns:        cols,
-		EstBlocks:      childBlocks(outer),
-		Selectivity:    selectivity,
-	})
-	n.b.Connect(n.op, op, false) // inner side must be complete
-	n.b.Connect(outer.op, op, true)
-	return node{b: n.b, op: op}
 }
 
 // agg aggregates (pipeline breaker) then finalizes.
@@ -186,17 +148,6 @@ func (n node) topK() node {
 	return node{b: n.b, op: op}
 }
 
-// limit truncates the stream.
-func (n node) limit() node {
-	op := n.b.Add(&plan.Operator{
-		Type:           plan.Limit,
-		InputRelations: n.op.InputRelations,
-		EstBlocks:      1,
-	})
-	n.b.ConnectAuto(n.op, op)
-	return node{b: n.b, op: op}
-}
-
 // distinct removes duplicates (pipeline breaker).
 func (n node) distinct(cols ...string) node {
 	op := n.b.Add(&plan.Operator{
@@ -206,18 +157,6 @@ func (n node) distinct(cols ...string) node {
 		EstBlocks:      childBlocks(n),
 	})
 	n.b.ConnectAuto(n.op, op)
-	return node{b: n.b, op: op}
-}
-
-// union concatenates with another stream.
-func (n node) union(other node) node {
-	op := n.b.Add(&plan.Operator{
-		Type:           plan.Union,
-		InputRelations: append(append([]string{}, n.op.InputRelations...), other.op.InputRelations...),
-		EstBlocks:      childBlocks(n) + childBlocks(other),
-	})
-	n.b.ConnectAuto(n.op, op)
-	n.b.ConnectAuto(other.op, op)
 	return node{b: n.b, op: op}
 }
 

@@ -88,68 +88,3 @@ func TestAggProducesFinalize(t *testing.T) {
 		}
 	}
 }
-
-func TestUnionAndDistinct(t *testing.T) {
-	tm := newTmpl("t", 1)
-	a := tm.scan("a", 400_000)
-	b := tm.scan("b", 800_000)
-	u := a.union(b).distinct("k")
-	p := u.done()
-	sink := p.Sink()
-	if sink.Type != plan.Distinct {
-		t.Fatalf("sink %v", sink.Type)
-	}
-	var unionOp *plan.Operator
-	for _, op := range p.Ops {
-		if op.Type == plan.Union {
-			unionOp = op
-		}
-	}
-	if unionOp.EstBlocks != 3 { // 1 + 2
-		t.Fatalf("union blocks = %d, want 3", unionOp.EstBlocks)
-	}
-}
-
-func TestIndexScanProjectLimit(t *testing.T) {
-	tm := newTmpl("t", 1)
-	p := tm.indexScan("idx", 2_000_000, "k").proj("k", "v").limit().done()
-	want := []plan.OpType{plan.IndexScan, plan.Project, plan.Limit}
-	for i, op := range p.Ops {
-		if op.Type != want[i] {
-			t.Fatalf("op %d is %v, want %v", i, op.Type, want[i])
-		}
-	}
-	if p.Ops[0].EstBlocks != 5 {
-		t.Fatalf("index scan blocks = %d, want 5", p.Ops[0].EstBlocks)
-	}
-	if p.Sink().EstBlocks != 1 {
-		t.Fatal("limit should be a single work order")
-	}
-	// The whole chain pipelines (no breakers).
-	for _, e := range p.Edges {
-		if !e.NonPipelineBreaking {
-			t.Fatalf("edge %d→%d should pipeline", e.Child.ID, e.Parent.ID)
-		}
-	}
-}
-
-func TestINLJoinBlocksOnInnerSide(t *testing.T) {
-	tm := newTmpl("t", 1)
-	inner := tm.scan("inner", 400_000)
-	outer := tm.scan("outer", 2_000_000)
-	j := inner.inlJoin(outer, 0.2, "k")
-	p := j.done()
-	sink := p.Sink()
-	if sink.Type != plan.IndexNestedLoopJoin {
-		t.Fatalf("sink %v", sink.Type)
-	}
-	breaking := 0
-	for _, e := range sink.Children() {
-		if !e.NonPipelineBreaking {
-			breaking++
-		}
-	}
-	if breaking != 1 {
-		t.Fatalf("INL join should block on exactly the inner side, got %d breaking edges", breaking)
-	}
-}

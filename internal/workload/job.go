@@ -100,15 +100,6 @@ func JOB() []*plan.Plan {
 	return plans
 }
 
-// NumJOBQueries is the benchmark's query count.
-func NumJOBQueries() int {
-	n := 0
-	for _, f := range jobFamilies {
-		n += f.variants
-	}
-	return n
-}
-
 func jobQuery(f jobFamily, variant int) *plan.Plan {
 	t := newTmpl(fmt.Sprintf("job-%d%c", f.id, 'a'+variant), 1)
 	sel := jobVariantSel[variant%len(jobVariantSel)]

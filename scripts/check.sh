@@ -2,7 +2,8 @@
 # CI gate: static checks, build, full test suite, the race-detector
 # pass over the concurrent packages (the live engine executes dispatch
 # rounds on real goroutines; the metrics registry is updated from
-# worker goroutines), and a short fuzz of each fuzz target. Run from
+# worker goroutines), a short fuzz of each fuzz target, and a gate
+# against functions no binary links (scripts/unreached.sh). Run from
 # anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -24,6 +25,9 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
+echo "== unreached (functions no binary in cmd/, examples/ or bench links, outside the allowlist)"
+scripts/unreached.sh
+
 echo "== go test -race ./internal/engine/ ./internal/exec/ ./internal/metrics/ ./internal/obs/ ./internal/policystore/ ./internal/serving/ ./internal/rpcsched/ ./internal/frontdoor/ ./internal/ingress/ ./internal/provenance/ ./internal/cluster/"
 go test -race ./internal/engine/ ./internal/exec/ ./internal/metrics/ ./internal/obs/ \
   ./internal/policystore/ ./internal/serving/ ./internal/rpcsched/ ./internal/frontdoor/ \
@@ -32,11 +36,11 @@ go test -race ./internal/engine/ ./internal/exec/ ./internal/metrics/ ./internal
 echo "== go test -race -run TestTrainRollouts ./internal/lsched/"
 go test -race -run TestTrainRollouts ./internal/lsched/
 
-echo "== fuzz smoke (10s per target)"
-go test -run='^$' -fuzz=FuzzDecodeRequest -fuzztime=10s ./internal/frontdoor/
-go test -run='^$' -fuzz=FuzzLiveKernels -fuzztime=10s ./internal/engine/
-go test -run='^$' -fuzz=FuzzReadAll -fuzztime=10s ./internal/provenance/
-go test -run='^$' -fuzz=FuzzStoreGet -fuzztime=10s ./internal/policystore/
+echo "== fuzz smoke (10s per target; minimisation capped at 1s so the budget goes to fuzzing)"
+go test -run='^$' -fuzz=FuzzDecodeRequest -fuzztime=10s -fuzzminimizetime=1s ./internal/frontdoor/
+go test -run='^$' -fuzz=FuzzLiveKernels -fuzztime=10s -fuzzminimizetime=1s ./internal/engine/
+go test -run='^$' -fuzz=FuzzReadAll -fuzztime=10s -fuzzminimizetime=1s ./internal/provenance/
+go test -run='^$' -fuzz=FuzzStoreGet -fuzztime=10s -fuzzminimizetime=1s ./internal/policystore/
 
 echo "== cluster smoke (2 real nodes + coordinator over TCP, 200 queries, zero lost, coordinator obs endpoints)"
 smokedir=$(mktemp -d)
